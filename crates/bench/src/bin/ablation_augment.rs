@@ -25,11 +25,11 @@ fn main() {
     let data = prepare(&args);
 
     eprintln!("training WITHOUT augmentation ({} wafers) ...", data.train_raw.len());
-    let (mut without, _) = train_selective(&args, &data.train_raw, 1.0);
+    let (without, _) = train_selective(&args, &data.train_raw, 1.0);
     let cm_without = without.evaluate(&data.test, 0.0);
 
     eprintln!("training WITH augmentation ({} wafers) ...", data.train.len());
-    let (mut with, _) = train_selective(&args, &data.train, 1.0);
+    let (with, _) = train_selective(&args, &data.train, 1.0);
     let cm_with = with.evaluate(&data.test, 0.0);
 
     let is_defect = |c: usize| DefectClass::from_index(c).is_some_and(DefectClass::is_defect);

@@ -26,7 +26,7 @@ fn main() {
     eprintln!("concept_shift: scale {} grid {} epochs {}", args.scale, args.grid, args.epochs);
     let data = prepare(&args);
     eprintln!("training selective model at c0 = 0.5 ...");
-    let (mut model, _) = train_selective(&args, &data.train, 0.5);
+    let (model, _) = train_selective(&args, &data.train, 0.5);
     // Calibrate the selection threshold to the 50% target on the
     // training scores (SelectiveNet protocol), so in-distribution
     // coverage sits at the target and any collapse is attributable to

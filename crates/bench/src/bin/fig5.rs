@@ -32,7 +32,7 @@ fn main() {
     let mut rows = Vec::new();
     for &c0 in &coverages {
         eprintln!("training at c0 = {c0} ...");
-        let (mut model, _) = train_selective(&args, &data.train, c0);
+        let (model, _) = train_selective(&args, &data.train, c0);
         // Fixed threshold: the paper's protocol. The full-coverage
         // point is the plain CE model evaluated on every sample.
         let fixed_tau = if c0 >= 1.0 { 0.0 } else { 0.5 };

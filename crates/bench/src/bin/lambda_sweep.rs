@@ -40,7 +40,7 @@ fn main() {
     for &lambda in &lambdas {
         args.lambda = lambda;
         eprintln!("training with lambda = {lambda} ...");
-        let (mut model, report) = train_selective(&args, &data.train, c0);
+        let (model, report) = train_selective(&args, &data.train, c0);
         let metrics = model.evaluate(&data.test, 0.5);
         println!(
             "{:>8} {:>14.1}% {:>13.1}% {:>19.1}%",

@@ -61,7 +61,7 @@ fn main() {
     let mut fixed_metrics = Vec::new();
     for &c0 in &coverages {
         eprintln!("training selective model at c0 = {c0} ...");
-        let (mut model, report) = train_selective(&args, &data.train, c0);
+        let (model, report) = train_selective(&args, &data.train, c0);
         eprintln!(
             "  final epoch: loss {:.4}, train coverage {:.3}, train acc {:.3}",
             report.last().loss,

@@ -30,7 +30,7 @@ fn main() {
 
     // Full-coverage CNN (plain cross-entropy, threshold 0 keeps all).
     eprintln!("training full-coverage CNN ...");
-    let (mut model, report) = train_selective(&args, &data.train, 1.0);
+    let (model, report) = train_selective(&args, &data.train, 1.0);
     eprintln!(
         "  final epoch: loss {:.4}, train acc {:.3}",
         report.last().loss,

@@ -87,7 +87,7 @@ fn main() {
         test.push(s.clone());
     }
 
-    let model = &mut train_eight_class(&args, &train, 0.5);
+    let model = train_eight_class(&args, &train, 0.5);
     let kept = kept_classes();
 
     // Evaluate manually: per-class original recall (ignoring the
@@ -102,7 +102,7 @@ fn main() {
             data.extend(s.map.to_image());
         }
         let images = Tensor::from_vec(data, &[chunk.len(), 1, args.grid, args.grid]);
-        let preds = model.predict(&images, 0.5);
+        let preds = model.infer_predict(&images, 0.5);
         for (s, p) in chunk.iter().zip(preds) {
             let true_idx = s.label.index();
             let predicted_class = kept[p.label];

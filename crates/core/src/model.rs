@@ -189,41 +189,24 @@ impl SelectiveModel {
         }
     }
 
-    /// Classify a batch of wafer-map images with the reject option.
+    /// Classify a batch of wafer-map images with the reject option —
+    /// the one inference path every evaluation and the serving engine
+    /// run through.
     ///
     /// `threshold` is the selection cut-off τ: the model predicts when
     /// `g(x) ≥ τ` (τ = 0.5 reproduces the paper; see
     /// [`crate::calibrate_threshold`] for coverage-targeted τ).
-    pub fn predict(&mut self, images: &Tensor, threshold: f32) -> Vec<SelectivePrediction> {
-        let (logits, g) = self.forward(images);
-        let probs = nn::loss::softmax(&logits);
-        let c = self.config.n_classes;
-        g.iter()
-            .enumerate()
-            .map(|(i, &score)| {
-                let row = &probs.data()[i * c..(i + 1) * c];
-                SelectivePrediction {
-                    label: nn::loss::argmax(row),
-                    confidence: row.iter().fold(0.0f32, |m, &v| m.max(v)),
-                    selection_score: score,
-                    selected: score >= threshold,
-                }
-            })
-            .collect()
-    }
-
-    /// Inference-only batch classification — the serving path.
     ///
-    /// Bit-identical to [`SelectiveModel::predict`] but runs through
-    /// `&self` on the no-grad [`Layer::infer`] path: no activation
-    /// caches are written and samples are processed **block-major** —
-    /// the batch splits into fixed [`INFER_BLOCK`]-wafer blocks, each
-    /// block runs the whole network as one batched forward on its
-    /// worker. Blocked forwards amortize GEMM packing and per-call
-    /// overhead (one `m = 4` fc GEMM instead of four `m = 1` ones), so
-    /// micro-batching pays even on a single core, while the per-block
-    /// fan-out still scales across the pool.
-    /// Results are independent of block boundaries and pool size: the
+    /// Bit-identical to the training forward ([`SelectiveModel::forward`]
+    /// followed by a softmax) but runs through `&self` on the no-grad
+    /// [`Layer::infer`] path: no activation caches are written and
+    /// samples are processed **block-major** — the batch splits into
+    /// fixed [`INFER_BLOCK`]-wafer blocks, each block runs the whole
+    /// network as one batched forward on its worker. Blocked forwards
+    /// amortize GEMM packing and per-call overhead (one `m = 4` fc GEMM
+    /// instead of four `m = 1` ones), so micro-batching pays even on a
+    /// single core, while the per-block fan-out still scales across the
+    /// pool. Results are independent of block boundaries and pool size: the
     /// kernels accumulate every output element in a fixed contraction
     /// order regardless of the batch dimension.
     ///
@@ -258,18 +241,36 @@ impl SelectiveModel {
             "expected [N, 1, {g}, {g}] input",
             g = self.config.grid
         );
-        let n = shape[0];
         let pixels = self.config.grid * self.config.grid;
-        let c = self.config.n_classes;
         let data = images.data();
+        self.infer_blocks(shape[0], threshold, |i, image| {
+            image.copy_from_slice(&data[i * pixels..(i + 1) * pixels]);
+        })
+    }
+
+    /// The block-major loop behind every inference entry point: sample
+    /// `i` of `0..n` is written into its block's per-worker staging
+    /// tensor by `stage(i, image)`, so callers never stage more than a
+    /// block per worker. Returns predictions and per-wafer compute
+    /// seconds as [`SelectiveModel::infer_predict_timed`] documents.
+    fn infer_blocks(
+        &self,
+        n: usize,
+        threshold: f32,
+        stage: impl Fn(usize, &mut [f32]) + Sync,
+    ) -> (Vec<SelectivePrediction>, Vec<f64>) {
+        let grid = self.config.grid;
+        let c = self.config.n_classes;
         let blocks = nn::pool::parallel_map(n.div_ceil(INFER_BLOCK), |b| {
             let lo = b * INFER_BLOCK;
             let hi = ((b + 1) * INFER_BLOCK).min(n);
             let start = std::time::Instant::now();
             let preds = SAMPLE_STAGE.with(|cell| {
                 let mut block = cell.borrow_mut();
-                block.resize(&[hi - lo, 1, self.config.grid, self.config.grid]);
-                block.data_mut().copy_from_slice(&data[lo * pixels..hi * pixels]);
+                block.resize(&[hi - lo, 1, grid, grid]);
+                for (i, image) in (lo..hi).zip(block.data_mut().chunks_exact_mut(grid * grid)) {
+                    stage(i, image);
+                }
                 let features = self.trunk.infer(&block);
                 let logits = self.head_f.infer(&features);
                 let scores = self.head_g.infer(&features);
@@ -299,60 +300,43 @@ impl SelectiveModel {
         (preds, secs)
     }
 
-    /// Selection scores `g(x)` for every sample of a dataset via the
-    /// inference-only path (bit-identical to
-    /// [`SelectiveModel::selection_scores`]); used by the serving
-    /// engine to calibrate τ without mutable access to the model.
+    /// [`SelectiveModel::infer_predict`] over every sample of a
+    /// dataset, in dataset order; each sample is staged straight into
+    /// its block.
     ///
     /// # Panics
     ///
     /// Panics if the dataset grid does not match the model's.
-    #[must_use]
-    pub fn infer_selection_scores(&self, dataset: &Dataset) -> Vec<f32> {
+    pub(crate) fn infer_dataset(
+        &self,
+        dataset: &Dataset,
+        threshold: f32,
+    ) -> Vec<SelectivePrediction> {
         assert_eq!(dataset.grid(), self.config.grid, "dataset grid mismatch");
         let samples = dataset.samples();
-        nn::pool::parallel_map(samples.len(), |i| {
-            SAMPLE_STAGE.with(|cell| {
-                let mut image = cell.borrow_mut();
-                image.resize(&[1, 1, self.config.grid, self.config.grid]);
-                samples[i].map.write_image_into(image.data_mut());
-                let features = self.trunk.infer(&image);
-                self.head_g.infer(&features).data()[0]
-            })
+        self.infer_blocks(samples.len(), threshold, |i, image| {
+            samples[i].map.write_image_into(image);
         })
+        .0
     }
 
     /// Evaluate on a labeled dataset, producing selective metrics
     /// (coverage, selective accuracy, per-class coverage — the
     /// quantities of Table II).
     ///
-    /// Runs in mini-batches of 64 to bound memory.
-    ///
     /// # Panics
     ///
     /// Panics if the dataset grid does not match the model's.
     #[must_use]
-    pub fn evaluate(&mut self, dataset: &Dataset, threshold: f32) -> SelectiveMetrics {
-        assert_eq!(dataset.grid(), self.config.grid, "dataset grid mismatch");
+    pub fn evaluate(&self, dataset: &Dataset, threshold: f32) -> SelectiveMetrics {
         let mut metrics = SelectiveMetrics::new(self.config.n_classes);
-        let pixels = self.config.grid * self.config.grid;
-        let samples = dataset.samples();
-        for chunk in samples.chunks(64) {
-            let mut data = Vec::with_capacity(chunk.len() * pixels);
-            for s in chunk {
-                data.extend(s.map.to_image());
-            }
-            let images =
-                Tensor::from_vec(data, &[chunk.len(), 1, self.config.grid, self.config.grid]);
-            let preds = self.predict(&images, threshold);
-            for (s, p) in chunk.iter().zip(preds) {
-                let outcome = if p.selected {
-                    SelectiveOutcome::Predicted(p.label)
-                } else {
-                    SelectiveOutcome::Abstained
-                };
-                metrics.record(s.label.index(), outcome);
-            }
+        for (s, p) in dataset.samples().iter().zip(self.infer_dataset(dataset, threshold)) {
+            let outcome = if p.selected {
+                SelectiveOutcome::Predicted(p.label)
+            } else {
+                SelectiveOutcome::Abstained
+            };
+            metrics.record(s.label.index(), outcome);
         }
         metrics
     }
@@ -364,21 +348,8 @@ impl SelectiveModel {
     ///
     /// Panics if the dataset grid does not match the model's.
     #[must_use]
-    pub fn selection_scores(&mut self, dataset: &Dataset) -> Vec<f32> {
-        assert_eq!(dataset.grid(), self.config.grid, "dataset grid mismatch");
-        let pixels = self.config.grid * self.config.grid;
-        let mut scores = Vec::with_capacity(dataset.len());
-        for chunk in dataset.samples().chunks(64) {
-            let mut data = Vec::with_capacity(chunk.len() * pixels);
-            for s in chunk {
-                data.extend(s.map.to_image());
-            }
-            let images =
-                Tensor::from_vec(data, &[chunk.len(), 1, self.config.grid, self.config.grid]);
-            let (_, g) = self.forward(&images);
-            scores.extend(g);
-        }
-        scores
+    pub fn selection_scores(&self, dataset: &Dataset) -> Vec<f32> {
+        self.infer_dataset(dataset, 0.0).into_iter().map(|p| p.selection_score).collect()
     }
 
     /// Snapshot all parameters (including optimizer moments).
@@ -435,12 +406,50 @@ mod tests {
         SelectiveConfig::for_grid(16).with_conv_channels([4, 4, 4]).with_fc(16)
     }
 
+    /// The training-path reference: one batched `forward` over all of
+    /// `images`, then softmax, argmax and the `g(x) ≥ τ` rule.
+    fn forward_predictions(
+        model: &mut SelectiveModel,
+        images: &Tensor,
+        threshold: f32,
+    ) -> Vec<SelectivePrediction> {
+        let (logits, g) = model.forward(images);
+        let probs = nn::loss::softmax(&logits);
+        let c = model.config().n_classes;
+        g.iter()
+            .enumerate()
+            .map(|(i, &score)| {
+                let row = &probs.data()[i * c..(i + 1) * c];
+                SelectivePrediction {
+                    label: nn::loss::argmax(row),
+                    confidence: row.iter().fold(0.0f32, |m, &v| m.max(v)),
+                    selection_score: score,
+                    selected: score >= threshold,
+                }
+            })
+            .collect()
+    }
+
+    /// 35 generated wafers over every class: a ragged last inference
+    /// block (35 = 8·4 + 3).
+    fn tiny_dataset() -> Dataset {
+        use wafermap::gen::{generate, GenConfig, Sample};
+        let cfg = GenConfig::new(16);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let mut ds = Dataset::new(16);
+        for i in 0..35 {
+            let class = wafermap::DefectClass::ALL[i % 9];
+            ds.push(Sample::original(generate(class, &cfg, &mut rng), class));
+        }
+        ds
+    }
+
     #[test]
     fn infer_predict_matches_training_predict_bitwise() {
         let mut model = SelectiveModel::new(&tiny_config(), 5);
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
         let images = Tensor::randn(&[7, 1, 16, 16], 1.0, &mut rng);
-        let trained = model.predict(&images, 0.5);
+        let trained = forward_predictions(&mut model, &images, 0.5);
         let served = model.infer_predict(&images, 0.5);
         assert_eq!(trained.len(), served.len());
         for (i, (a, b)) in trained.iter().zip(&served).enumerate() {
@@ -452,6 +461,34 @@ mod tests {
             );
             assert_eq!(a.selected, b.selected, "selection diverged at sample {i}");
         }
+
+        // Dataset evaluation runs the same path: scores and metrics
+        // equal what one training forward over the whole set gives.
+        let dataset = tiny_dataset();
+        let grid = model.config().grid;
+        let data: Vec<f32> = dataset.samples().iter().flat_map(|s| s.map.to_image()).collect();
+        let images = Tensor::from_vec(data, &[dataset.len(), 1, grid, grid]);
+        let mut scores = forward_predictions(&mut model, &images, 0.0)
+            .iter()
+            .map(|p| p.selection_score)
+            .collect::<Vec<_>>();
+        assert_eq!(model.selection_scores(&dataset), scores);
+        // Cut at the median score so the set splits into selected and
+        // abstained samples.
+        scores.sort_by(f32::total_cmp);
+        let tau = scores[scores.len() / 2];
+        let mut expected = SelectiveMetrics::new(model.config().n_classes);
+        for (s, p) in dataset.samples().iter().zip(forward_predictions(&mut model, &images, tau)) {
+            let outcome = if p.selected {
+                SelectiveOutcome::Predicted(p.label)
+            } else {
+                SelectiveOutcome::Abstained
+            };
+            expected.record(s.label.index(), outcome);
+        }
+        let metrics = model.evaluate(&dataset, tau);
+        assert!(metrics.selected_count() > 0 && metrics.selected_count() < metrics.total());
+        assert_eq!(metrics, expected);
     }
 
     #[test]
@@ -493,11 +530,11 @@ mod tests {
 
     #[test]
     fn predict_threshold_controls_selection() {
-        let mut model = SelectiveModel::new(&tiny_config(), 1);
+        let model = SelectiveModel::new(&tiny_config(), 1);
         let x = Tensor::full(&[2, 1, 16, 16], 0.5);
-        let all = model.predict(&x, 0.0);
+        let all = model.infer_predict(&x, 0.0);
         assert!(all.iter().all(|p| p.selected));
-        let none = model.predict(&x, 1.1);
+        let none = model.infer_predict(&x, 1.1);
         assert!(none.iter().all(|p| !p.selected));
     }
 

@@ -22,31 +22,21 @@ use crate::SelectiveModel;
 /// Panics if the dataset grid does not match the model's.
 #[must_use]
 pub fn threshold_sweep(
-    model: &mut SelectiveModel,
+    model: &SelectiveModel,
     dataset: &Dataset,
     thresholds: &[f32],
 ) -> Vec<RiskCoveragePoint> {
     use eval::{SelectiveMetrics, SelectiveOutcome};
-    use nn::Tensor;
 
-    let grid = model.config().grid;
-    assert_eq!(dataset.grid(), grid, "dataset grid mismatch");
     let n_classes = model.config().n_classes;
-    let pixels = grid * grid;
 
     // One forward pass: collect (true label, predicted label, score).
-    let mut triples: Vec<(usize, usize, f32)> = Vec::with_capacity(dataset.len());
-    for chunk in dataset.samples().chunks(64) {
-        let mut data = Vec::with_capacity(chunk.len() * pixels);
-        for s in chunk {
-            data.extend(s.map.to_image());
-        }
-        let images = Tensor::from_vec(data, &[chunk.len(), 1, grid, grid]);
-        let preds = model.predict(&images, 0.0);
-        for (s, p) in chunk.iter().zip(preds) {
-            triples.push((s.label.index(), p.label, p.selection_score));
-        }
-    }
+    let triples: Vec<(usize, usize, f32)> = dataset
+        .samples()
+        .iter()
+        .zip(model.infer_dataset(dataset, 0.0))
+        .map(|(s, p)| (s.label.index(), p.label, p.selection_score))
+        .collect();
 
     thresholds
         .iter()
@@ -96,7 +86,7 @@ mod tests {
             ..TrainConfig::default()
         })
         .run(&mut model, &train);
-        let points = threshold_sweep(&mut model, &test, &[0.0, 0.25, 0.5, 0.75, 0.999]);
+        let points = threshold_sweep(&model, &test, &[0.0, 0.25, 0.5, 0.75, 0.999]);
         assert_eq!(points.len(), 5);
         for pair in points.windows(2) {
             assert!(

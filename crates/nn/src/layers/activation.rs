@@ -96,51 +96,6 @@ impl Layer for Sigmoid {
     }
 }
 
-/// Hyperbolic tangent activation, applied elementwise.
-///
-/// # Example
-///
-/// ```
-/// use nn::{layers::Tanh, Layer, Tensor};
-///
-/// let mut t = Tanh::new();
-/// let y = t.forward(&Tensor::from_vec(vec![0.0], &[1]));
-/// assert_eq!(y.data(), &[0.0]);
-/// ```
-#[derive(Debug, Default, Serialize, Deserialize)]
-pub struct Tanh {
-    #[serde(skip)]
-    output: Option<Tensor>,
-}
-
-impl Tanh {
-    /// New tanh activation.
-    #[must_use]
-    pub fn new() -> Self {
-        Tanh { output: None }
-    }
-}
-
-impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let out = input.map(f32::tanh);
-        self.output = Some(out.clone());
-        out
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
-        input.map(f32::tanh)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let out = self.output.as_ref().expect("backward before forward");
-        assert_eq!(grad_output.numel(), out.numel(), "bad grad shape for Tanh");
-        let data =
-            grad_output.data().iter().zip(out.data()).map(|(&g, &y)| g * (1.0 - y * y)).collect();
-        Tensor::from_vec(data, grad_output.shape())
-    }
-}
-
 /// Numerically stable sigmoid.
 #[must_use]
 pub fn stable_sigmoid(x: f32) -> f32 {
@@ -182,21 +137,6 @@ mod tests {
         let g = s.backward(&Tensor::from_vec(vec![1.0], &[1]));
         let expect = y.data()[0] * (1.0 - y.data()[0]);
         assert!((g.data()[0] - expect).abs() < 1e-6);
-    }
-
-    #[test]
-    fn tanh_values_and_gradient() {
-        let mut t = Tanh::new();
-        let x = Tensor::from_vec(vec![-1.0, 0.0, 1.0], &[3]);
-        let y = t.forward(&x);
-        assert!((y.data()[0] + 0.76159).abs() < 1e-4);
-        assert_eq!(y.data()[1], 0.0);
-        let g = t.backward(&Tensor::full(&[3], 1.0));
-        // d tanh/dx at 0 is 1.
-        assert!((g.data()[1] - 1.0).abs() < 1e-6);
-        // Saturation damps the gradient symmetrically.
-        assert!((g.data()[0] - g.data()[2]).abs() < 1e-6);
-        assert!(g.data()[0] < 0.5);
     }
 
     #[test]

@@ -5,22 +5,16 @@
 //! 2-D `[batch, features]`; [`Flatten`] bridges the two.
 
 mod activation;
-mod avgpool;
-mod batchnorm;
 mod conv;
 mod convtranspose;
-mod dropout;
 mod linear;
 mod pool;
 mod shape;
 mod upsample;
 
-pub use activation::{stable_sigmoid, Relu, Sigmoid, Tanh};
-pub use avgpool::AvgPool2d;
-pub use batchnorm::BatchNorm2d;
+pub use activation::{stable_sigmoid, Relu, Sigmoid};
 pub use conv::Conv2d;
 pub use convtranspose::ConvTranspose2d;
-pub use dropout::Dropout;
 pub use linear::Linear;
 pub use pool::MaxPool2d;
 pub use shape::Flatten;

@@ -5,7 +5,7 @@
 //! more: a dense `f32` [`Tensor`], a threaded GEMM, convolutional /
 //! pooling / linear layers with **manual backpropagation**, common
 //! activations, fused softmax cross-entropy and MSE losses, He/Xavier
-//! initialization, and SGD/Adam optimizers. Weights serialize with
+//! initialization, and the Adam optimizer. Weights serialize with
 //! `serde` for checkpointing.
 //!
 //! The design follows a classic layer-object architecture: each
@@ -54,7 +54,6 @@ pub mod layers;
 pub mod loss;
 pub mod optim;
 pub mod pool;
-pub mod schedule;
 pub mod serialize;
 pub mod simd;
 pub mod workspace;
@@ -86,8 +85,7 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// callers parallelize **across samples** (see
     /// `pool::parallel_map`), which keeps each sample's working set
     /// cache-resident and makes results independent of the worker-pool
-    /// size. Stochastic layers behave as in eval mode (dropout is the
-    /// identity).
+    /// size.
     ///
     /// # Panics
     ///

@@ -11,79 +11,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::{Layer, Param};
 
-/// Stochastic gradient descent with optional classical momentum.
-///
-/// # Example
-///
-/// ```
-/// use nn::{layers::Linear, optim::Sgd, Layer, Tensor, loss::mse};
-/// use rand::{rngs::StdRng, SeedableRng};
-///
-/// let mut rng = StdRng::seed_from_u64(0);
-/// let mut fc = Linear::new(2, 1, &mut rng);
-/// let x = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]);
-/// let y = fc.forward(&x);
-/// let (_, grad) = mse(&y, &Tensor::zeros(&[1, 1]));
-/// fc.zero_grad();
-/// fc.backward(&grad);
-/// Sgd::new(0.1).step(&mut fc);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-}
-
-impl Sgd {
-    /// Plain SGD with the given learning rate (no momentum).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive.
-    #[must_use]
-    pub fn new(lr: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        Sgd { lr, momentum: 0.0 }
-    }
-
-    /// Add classical momentum (velocity stored in `Param::m`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `momentum` is outside `[0, 1)`.
-    #[must_use]
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
-        self.momentum = momentum;
-        self
-    }
-
-    /// Apply one update to every parameter of `layer`.
-    pub fn step(&mut self, layer: &mut dyn Layer) {
-        self.step_multi(&mut [layer]);
-    }
-
-    /// Apply one update across several disjoint layers (e.g. the trunk
-    /// and heads of a multi-head model).
-    pub fn step_multi(&mut self, layers: &mut [&mut dyn Layer]) {
-        let (lr, mu) = (self.lr, self.momentum);
-        for layer in layers {
-            layer.visit_params(&mut |p: &mut Param| {
-                if mu > 0.0 {
-                    for ((v, g), w) in
-                        p.m.data_mut().iter_mut().zip(p.grad.data()).zip(p.value.data_mut())
-                    {
-                        *v = mu * *v + g;
-                        *w -= lr * *v;
-                    }
-                } else {
-                    p.value.add_scaled(&p.grad, -lr);
-                }
-            });
-        }
-    }
-}
-
 /// Adam optimizer (Kingma & Ba) — the optimizer the paper trains with.
 ///
 /// Moments are stored in each parameter's `m`/`v` buffers; the bias
@@ -311,22 +238,6 @@ mod tests {
             last = loss;
         }
         last
-    }
-
-    #[test]
-    fn sgd_converges_on_linear_regression() {
-        let mut sgd = Sgd::new(0.1);
-        let loss = fit_linear(&mut |net| sgd.step(net), 500);
-        assert!(loss < 1e-3, "SGD failed to converge: {loss}");
-    }
-
-    #[test]
-    fn momentum_accelerates_sgd() {
-        let mut plain = Sgd::new(0.02);
-        let slow = fit_linear(&mut |net| plain.step(net), 100);
-        let mut mom = Sgd::new(0.02).with_momentum(0.9);
-        let fast = fit_linear(&mut |net| mom.step(net), 100);
-        assert!(fast < slow, "momentum did not help: {fast} vs {slow}");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! — exactly the [`nn::gemm::reference`] contract. These tests demand
 //! **bitwise** equality, with SIMD active and with the scalar path
 //! forced, over random shapes (odd tails, `k` 0 and 1) and the exact
-//! paper shapes from `BENCH_compute.json`.
+//! Table I shapes the benchmark's `nn.gemm.*` metrics time.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -107,7 +107,7 @@ proptest! {
     }
 }
 
-/// The exact Table I shapes `perf_report` measures (`BENCH_compute.json`),
+/// The exact Table I shapes `perfbench` times (its `nn.gemm.*` metrics),
 /// for all three kernels: conv forwards (`nn`), the fc forward and conv
 /// weight-gradient (`nt`), and the conv input-gradients (`tn`).
 #[test]

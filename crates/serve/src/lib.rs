@@ -646,7 +646,7 @@ impl Engine {
                 found: (calibration.grid(), calibration.grid()),
             });
         }
-        let scores = self.model.infer_selection_scores(calibration);
+        let scores = self.model.selection_scores(calibration);
         self.threshold = calibrate_threshold(&scores, coverage);
         self.metrics.calibrations.inc();
         self.metrics.threshold.set(f64::from(self.threshold));

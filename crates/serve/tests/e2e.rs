@@ -133,21 +133,30 @@ fn batched_inference_is_bit_identical_across_thread_limits() {
         maps
     };
 
-    let run = |limit: usize| {
+    let run = |micro_batch: usize, limit: usize| {
         pool::set_thread_limit(limit);
         let mut engine =
-            Engine::from_bundle(&bundle, ServeConfig { micro_batch: 8, ..ServeConfig::default() })
+            Engine::from_bundle(&bundle, ServeConfig { micro_batch, ..ServeConfig::default() })
                 .expect("valid bundle");
         engine.submit(&workload).expect("grid matches")
     };
-    let serial = run(1);
-    let pooled = run(4);
-    pool::set_thread_limit(pool::default_thread_limit());
-
-    assert_eq!(serial.len(), pooled.len());
-    for (i, (a, b)) in serial.iter().zip(&pooled).enumerate() {
-        assert_eq!(a.route, b.route, "route diverged at wafer {i}");
-        assert_eq!(a.confidence, b.confidence, "confidence diverged at wafer {i}");
-        assert_eq!(a.selection_score, b.selection_score, "selection score diverged at wafer {i}");
+    // Micro-batch size is a throughput lever, never an accuracy lever:
+    // one wafer per batch, a ragged 17, and one batch holding the whole
+    // 26-wafer workload must all route like the serial reference.
+    let serial = run(8, 1);
+    for micro_batch in [1, 8, 17, 64] {
+        for limit in [1, 4] {
+            let pooled = run(micro_batch, limit);
+            assert_eq!(serial.len(), pooled.len());
+            for (i, (a, b)) in serial.iter().zip(&pooled).enumerate() {
+                assert_eq!(a.route, b.route, "route diverged at wafer {i}");
+                assert_eq!(a.confidence, b.confidence, "confidence diverged at wafer {i}");
+                assert_eq!(
+                    a.selection_score, b.selection_score,
+                    "selection score diverged at wafer {i}"
+                );
+            }
+        }
     }
+    pool::set_thread_limit(pool::default_thread_limit());
 }

@@ -56,7 +56,7 @@ fn main() {
             data.extend(s.map.to_image());
         }
         let images = nn::Tensor::from_vec(data, &[chunk.len(), 1, 32, 32]);
-        for p in model.predict(&images, 0.5) {
+        for p in model.infer_predict(&images, 0.5) {
             if alarm.is_none() {
                 alarm = monitor.observe(p.selected);
             }

@@ -21,9 +21,9 @@ fn trained_model() -> (SelectiveModel, wafermap::Dataset) {
 
 #[test]
 fn threshold_sweep_traces_a_valid_curve() {
-    let (mut model, test) = trained_model();
+    let (model, test) = trained_model();
     let thresholds = selective::uniform_thresholds(8);
-    let points = selective::threshold_sweep(&mut model, &test, &thresholds);
+    let points = selective::threshold_sweep(&model, &test, &thresholds);
     assert_eq!(points.len(), 8);
     // Coverage decreases as the threshold rises; all metrics bounded.
     for pair in points.windows(2) {
@@ -38,9 +38,9 @@ fn threshold_sweep_traces_a_valid_curve() {
 
 #[test]
 fn sweep_agrees_with_direct_evaluation() {
-    let (mut model, test) = trained_model();
+    let (model, test) = trained_model();
     let tau = 0.5f32;
-    let sweep = selective::threshold_sweep(&mut model, &test, &[tau]);
+    let sweep = selective::threshold_sweep(&model, &test, &[tau]);
     let direct = model.evaluate(&test, tau);
     assert!((sweep[0].coverage - direct.coverage()).abs() < 1e-12);
     assert!((sweep[0].selective_accuracy - direct.selective_accuracy()).abs() < 1e-12);
@@ -48,7 +48,7 @@ fn sweep_agrees_with_direct_evaluation() {
 
 #[test]
 fn monitor_flags_shifted_stream_but_not_nominal() {
-    let (mut model, test) = trained_model();
+    let (model, test) = trained_model();
     let nominal_cov = model.evaluate(&test, 0.5).coverage();
     // Window of 40, alarm at 30% of the model's own nominal coverage:
     // the nominal stream must stay quiet.
@@ -61,7 +61,7 @@ fn monitor_flags_shifted_stream_but_not_nominal() {
             data.extend(s.map.to_image());
         }
         let images = nn::Tensor::from_vec(data, &[chunk.len(), 1, 16, 16]);
-        for p in model.predict(&images, 0.5) {
+        for p in model.infer_predict(&images, 0.5) {
             if monitor.observe(p.selected).is_some() {
                 alarms += 1;
             }
