@@ -11,8 +11,10 @@ use serde::{Deserialize, Serialize};
 /// Rolling-window coverage monitor.
 ///
 /// Feed it the model's per-wafer select/abstain decisions; once the
-/// window is full, it raises [`CoverageAlarm`] whenever the rolling
-/// coverage falls below `alarm_fraction · target_coverage`.
+/// window is full, it raises one [`CoverageAlarm`] each time the
+/// rolling coverage crosses below `alarm_fraction · target_coverage`.
+/// Alarms are edge-triggered: a sustained collapse is one incident,
+/// and the monitor re-arms once coverage is back at or above the line.
 ///
 /// # Example
 ///
@@ -39,6 +41,9 @@ pub struct CoverageMonitor {
     decisions: VecDeque<bool>,
     selected_in_window: usize,
     observed: u64,
+    /// Whether rolling coverage is currently below the alarm line (an
+    /// incident is open and no further alarm fires until it closes).
+    below_line: bool,
 }
 
 /// Raised when rolling coverage collapses below the alarm line.
@@ -76,12 +81,14 @@ impl CoverageMonitor {
             decisions: VecDeque::with_capacity(window),
             selected_in_window: 0,
             observed: 0,
+            below_line: false,
         }
     }
 
     /// Record one wafer decision (`true` = the model selected /
-    /// labeled it). Returns an alarm when the window is full and the
-    /// rolling coverage is below the alarm line.
+    /// labeled it). Returns an alarm when the window is full and this
+    /// decision takes the rolling coverage below the alarm line; while
+    /// coverage stays below it, later decisions return `None`.
     pub fn observe(&mut self, selected: bool) -> Option<CoverageAlarm> {
         self.observed += 1;
         if self.decisions.len() == self.window {
@@ -100,7 +107,8 @@ impl CoverageMonitor {
         }
         let rolling = self.rolling_coverage();
         let line = self.alarm_line();
-        (rolling < line).then_some(CoverageAlarm {
+        let was_below = std::mem::replace(&mut self.below_line, rolling < line);
+        (self.below_line && !was_below).then_some(CoverageAlarm {
             rolling_coverage: rolling,
             alarm_line: line,
             observed: self.observed,
@@ -179,6 +187,27 @@ mod tests {
             last = m.observe(i % 2 == 0);
         }
         assert!(last.is_none());
+    }
+
+    #[test]
+    fn sustained_collapse_is_one_incident_until_recovery() {
+        let window = 10;
+        let mut m = CoverageMonitor::new(0.5, window, 0.5);
+        let mut alarms = 0;
+        for _ in 0..100 * window {
+            alarms += usize::from(m.observe(false).is_some());
+        }
+        assert_eq!(alarms, 1, "a sustained collapse must alarm once, not once per wafer");
+        // Recovery re-arms the monitor; a second collapse is a second
+        // incident.
+        for _ in 0..window {
+            alarms += usize::from(m.observe(true).is_some());
+        }
+        assert!(m.rolling_coverage() >= m.alarm_line());
+        for _ in 0..100 * window {
+            alarms += usize::from(m.observe(false).is_some());
+        }
+        assert_eq!(alarms, 2);
     }
 
     #[test]

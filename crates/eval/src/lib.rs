@@ -8,8 +8,6 @@
 //!   per-class coverage counts for abstaining classifiers
 //!   (Table II, Fig. 5).
 //! - [`RiskCoveragePoint`] series for risk–coverage trade-off curves.
-//! - [`ServingStats`]: streaming throughput / latency / abstention
-//!   metrics for a deployed selective classifier (Section IV-D).
 //!
 //! # Example
 //!
@@ -29,8 +27,6 @@
 
 mod confusion;
 mod selective;
-mod serving;
 
 pub use confusion::{ClassScores, ConfusionMatrix};
 pub use selective::{aurc, RiskCoveragePoint, SelectiveMetrics, SelectiveOutcome};
-pub use serving::{LatencySummary, ServingSnapshot, ServingStats, ShedCount};

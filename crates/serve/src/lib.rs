@@ -18,9 +18,10 @@
 //!    small batched blocks — no backward caches, thread-local scratch,
 //!    results independent of the pool size — and yields one
 //!    [`WaferDecision`] per wafer.
-//! 4. Every decision feeds a [`CoverageMonitor`]; a sustained coverage
-//!    collapse (the paper's concept-shift signal) surfaces as
-//!    [`CoverageAlarm`]s on the decisions and in the report.
+//! 4. Every decision feeds a [`CoverageMonitor`]; a coverage collapse
+//!    (the paper's concept-shift signal) surfaces as one
+//!    [`CoverageAlarm`] per incident, on the decision that tripped it
+//!    and in the report.
 //!
 //! # Graceful degradation
 //!
@@ -46,9 +47,16 @@
 //!
 //! Shed wafers are counted separately from model abstentions
 //! everywhere: `Route::Shed` on the decision, `shed` /
-//! `shed_per_reason` in [`eval::ServingSnapshot`], and the
+//! `shed_per_reason` in [`ServingSnapshot`], and the
 //! `serve_shed_total{reason}` counters in telemetry. Coverage — the
 //! concept-shift signal — is computed over model-served wafers only.
+//!
+//! # One metrics store
+//!
+//! Every micro-batch is recorded once, into the engine's telemetry
+//! [`Registry`]. [`ServeReport::serving`] is a view computed from that
+//! registry on each [`Engine::report`], so it always agrees with
+//! [`ServeReport::telemetry`] and the [`Engine::prometheus`] scrape.
 //!
 //! # Example
 //!
@@ -83,11 +91,10 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use eval::{ServingSnapshot, ServingStats};
 use selective::monitor::{CoverageAlarm, CoverageMonitor};
 use selective::{calibrate_threshold, BundleError, CheckpointBundle, LoadError, SelectiveModel};
 use serde::{Deserialize, Serialize};
-use telemetry::{Counter, Gauge, Histogram, Registry, Snapshot};
+use telemetry::{Counter, Gauge, Histogram, Registry, Snapshot, WindowSummary};
 use wafermap::{Dataset, DefectClass, Die, WaferMap};
 
 /// Serving-engine configuration.
@@ -109,10 +116,10 @@ pub struct ServeConfig {
     /// Alarm when rolling coverage drops below
     /// `alarm_fraction · target_coverage`.
     pub alarm_fraction: f64,
-    /// Latency / batch-size samples retained by the streaming stats
-    /// and the latency histogram — the engine's memory bound: state is
-    /// O(`stats_window` + `monitor_window`) no matter how many wafers
-    /// stream through.
+    /// Samples retained by each of the engine's telemetry histograms
+    /// (batch and wafer latency, batch size, wafer compute time) — the
+    /// engine's memory bound: state is O(`stats_window` +
+    /// `monitor_window`) no matter how many wafers stream through.
     pub stats_window: usize,
     /// Per-submission latency budget in seconds. When a submission
     /// overruns it, the not-yet-served remainder is shed to the reject
@@ -206,7 +213,7 @@ impl ShedReason {
         [ShedReason::InvalidInput, ShedReason::DeadlineExceeded, ShedReason::QueueFull];
 
     /// Stable label used for telemetry (`serve_shed_total{reason=…}`)
-    /// and serving-stats breakdowns.
+    /// and [`ServingSnapshot::shed_per_reason`].
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -437,15 +444,82 @@ pub struct ServeReport {
     pub rolling_coverage: f64,
     /// Coverage level below which alarms fire.
     pub alarm_line: f64,
-    /// Coverage alarms raised so far.
+    /// Coverage alarm incidents raised so far (`serve_alarms_total`).
     pub alarms: u64,
     /// Most recent alarm, if any ever fired.
     pub last_alarm: Option<CoverageAlarm>,
-    /// Streaming throughput / latency / per-class decision metrics.
+    /// Streaming throughput / latency / per-class decision metrics,
+    /// derived from the telemetry registry.
     pub serving: ServingSnapshot,
     /// Point-in-time view of the engine's telemetry registry (the
     /// same data [`Engine::prometheus`] renders for scrapes).
     pub telemetry: Snapshot,
+}
+
+/// One shed-reason tally in a [`ServingSnapshot`].
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ShedCount {
+    /// Reason label ([`ShedReason::as_str`]).
+    pub reason: String,
+    /// Wafers shed for this reason.
+    pub count: u64,
+}
+
+/// Serving counts, coverage, throughput and latency distributions: a
+/// view of the engine's telemetry registry, computed by
+/// [`Engine::report`].
+///
+/// Counts, coverage and throughput are exact over the whole stream;
+/// the distributions are exact in `count` and `sum` and summarize the
+/// most recent [`ServeConfig::stats_window`] samples otherwise.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ServingSnapshot {
+    /// Micro-batches processed (`serve_batches_total`).
+    pub batches: u64,
+    /// Wafers the model served (`serve_wafers_total`).
+    pub wafers: u64,
+    /// Wafers the model committed a label to (`serve_predicted_total`).
+    pub predicted: u64,
+    /// Wafers the model abstained on (`serve_abstained_total`).
+    pub abstained: u64,
+    /// Wafers the serving layer shed before the model ran —
+    /// degraded-mode abstentions (invalid input, deadline breach,
+    /// queue overflow). Always `predicted + abstained == wafers` and
+    /// `wafers + shed == submitted`.
+    pub shed: u64,
+    /// Total wafers submitted, served or shed.
+    pub submitted: u64,
+    /// Shed tally per reason (`serve_shed_total{reason}`), in
+    /// [`ShedReason::ALL`] order, zero counts included.
+    pub shed_per_reason: Vec<ShedCount>,
+    /// Empirical coverage so far (`predicted / wafers`); shed wafers
+    /// are excluded — shedding is an operational failure signal, not
+    /// a model-coverage signal.
+    pub coverage: f64,
+    /// Wafers per second of model time (wafers over the exact sum of
+    /// batch latencies, excluding idle gaps between batches).
+    pub throughput_wafers_per_sec: f64,
+    /// Per-**wafer** completion latency (`serve_wafer_latency_seconds`):
+    /// each wafer completes when its micro-batch does, so the batch
+    /// wall clock is observed once per wafer it carried.
+    pub latency: WindowSummary,
+    /// Per-**batch** wall-clock latency (`serve_batch_seconds`), one
+    /// sample per micro-batch regardless of its size.
+    pub batch_latency: WindowSummary,
+    /// Per-wafer **compute-only** latency
+    /// (`serve_wafer_compute_seconds`): time on a worker, excluding
+    /// pool-scheduling wait and the wait for the rest of the batch.
+    pub compute_latency: WindowSummary,
+    /// Batch-latency samples currently retained.
+    pub latency_window_len: usize,
+    /// Maximum retained latency samples (the memory bound).
+    pub latency_window_capacity: usize,
+    /// Committed predictions per class index
+    /// (`serve_decisions_total{class,route="predicted"}`).
+    pub predicted_per_class: Vec<u64>,
+    /// Abstentions per would-be class index
+    /// (`serve_decisions_total{class,route="abstained"}`).
+    pub abstained_per_class: Vec<u64>,
 }
 
 /// Metric handles the engine records into on the hot path; resolved
@@ -462,14 +536,18 @@ struct EngineMetrics {
     rolling_coverage: Gauge,
     batch_seconds: Histogram,
     batch_size: Histogram,
+    wafer_latency_seconds: Histogram,
     wafer_compute_seconds: Histogram,
     /// One labelled `serve_shed_total{reason=…}` counter per
     /// [`ShedReason`], indexed by [`ShedReason::index`].
     shed: [Counter; 3],
+    /// `serve_decisions_total{class=…,route=…}` per model class:
+    /// `[predicted, abstained]`, indexed by class index.
+    decisions: Vec<[Counter; 2]>,
 }
 
 impl EngineMetrics {
-    fn new(registry: &Registry, window: usize) -> Self {
+    fn new(registry: &Registry, window: usize, n_classes: usize) -> Self {
         EngineMetrics {
             wafers: registry.counter("serve_wafers_total", "Wafers routed by the engine"),
             predicted: registry
@@ -489,6 +567,11 @@ impl EngineMetrics {
                 window,
             ),
             batch_size: registry.histogram("serve_batch_size", "Wafers per micro-batch", window),
+            wafer_latency_seconds: registry.histogram(
+                "serve_wafer_latency_seconds",
+                "Per-wafer completion latency in seconds (its micro-batch's wall clock)",
+                window,
+            ),
             wafer_compute_seconds: registry.histogram(
                 "serve_wafer_compute_seconds",
                 "Per-wafer model compute time in seconds (excludes batching wait)",
@@ -501,6 +584,54 @@ impl EngineMetrics {
                     "Wafers shed to the reject option by the serving layer",
                 )
             }),
+            decisions: DefectClass::ALL[..n_classes]
+                .iter()
+                .map(|class| {
+                    ["predicted", "abstained"].map(|route| {
+                        registry.counter_with(
+                            "serve_decisions_total",
+                            &[("class", class.name()), ("route", route)],
+                            "Model decisions per (would-be) class and route",
+                        )
+                    })
+                })
+                .collect(),
+        }
+    }
+
+    fn serving(&self) -> ServingSnapshot {
+        let wafers = self.wafers.get();
+        let predicted = self.predicted.get();
+        let shed_per_reason: Vec<ShedCount> = ShedReason::ALL
+            .iter()
+            .map(|reason| ShedCount {
+                reason: reason.as_str().to_string(),
+                count: self.shed[reason.index()].get(),
+            })
+            .collect();
+        let shed = shed_per_reason.iter().map(|c| c.count).sum();
+        let batch_latency = self.batch_seconds.summary();
+        ServingSnapshot {
+            batches: self.batches.get(),
+            wafers,
+            predicted,
+            abstained: self.abstained.get(),
+            shed,
+            submitted: wafers + shed,
+            shed_per_reason,
+            coverage: if wafers == 0 { 0.0 } else { predicted as f64 / wafers as f64 },
+            throughput_wafers_per_sec: if batch_latency.sum > 0.0 {
+                wafers as f64 / batch_latency.sum
+            } else {
+                0.0
+            },
+            latency: self.wafer_latency_seconds.summary(),
+            batch_latency,
+            compute_latency: self.wafer_compute_seconds.summary(),
+            latency_window_len: batch_latency.window_len,
+            latency_window_capacity: batch_latency.window_capacity,
+            predicted_per_class: self.decisions.iter().map(|[p, _]| p.get()).collect(),
+            abstained_per_class: self.decisions.iter().map(|[_, a]| a.get()).collect(),
         }
     }
 }
@@ -514,7 +645,6 @@ pub struct Engine {
     threshold: f32,
     target_coverage: f64,
     monitor: CoverageMonitor,
-    stats: ServingStats,
     alarms: Vec<CoverageAlarm>,
     registry: Registry,
     metrics: EngineMetrics,
@@ -522,8 +652,6 @@ pub struct Engine {
     /// `micro_batch × grid²` and refilled in place for every batch
     /// (the workspace memory model — see `nn::workspace`).
     staging: nn::Tensor,
-    /// Reusable per-batch decision scratch for the stats recorder.
-    batch_decisions: Vec<(usize, bool)>,
     /// Per-submission latency budget; `None` disables deadline sheds.
     deadline: Option<Duration>,
     /// Per-submission model-bound wafer cap; `None` disables it.
@@ -578,7 +706,7 @@ impl Engine {
         }
         let model = bundle.build_model().map_err(ServeError::Bundle)?;
         let registry = Registry::new();
-        let metrics = EngineMetrics::new(&registry, config.stats_window);
+        let metrics = EngineMetrics::new(&registry, config.stats_window, n_classes);
         metrics.threshold.set(f64::from(config.threshold));
         Ok(Engine {
             model,
@@ -590,12 +718,10 @@ impl Engine {
                 config.monitor_window,
                 config.alarm_fraction,
             ),
-            stats: ServingStats::with_window(n_classes, config.stats_window),
             alarms: Vec::new(),
             registry,
             metrics,
             staging: nn::Tensor::default(),
-            batch_decisions: Vec::new(),
             deadline: config.deadline.map(Duration::from_secs_f64),
             max_queue_depth: config.max_queue_depth,
             clock: Arc::new(WallClock::new()),
@@ -755,8 +881,7 @@ impl Engine {
         }
     }
 
-    fn record_shed(&mut self, reason: ShedReason) {
-        self.stats.record_shed(reason.as_str());
+    fn record_shed(&self, reason: ShedReason) {
         self.metrics.shed[reason.index()].inc();
     }
 
@@ -810,20 +935,18 @@ impl Engine {
             let (preds, compute_secs) =
                 self.model.infer_predict_timed(&self.staging, self.threshold);
             let latency = start.elapsed().as_secs_f64();
-            self.batch_decisions.clear();
+            let m = &self.metrics;
             let mut predicted = 0u64;
-            let mut batch_alarms = 0u64;
             for (p, &(slot, _)) in preds.iter().zip(chunk) {
                 let class = DefectClass::from_index(p.label).expect("validated class range");
                 let alarm = self.monitor.observe(p.selected);
                 if let Some(a) = alarm {
                     self.alarms.push(a);
-                    batch_alarms += 1;
+                    m.alarms.inc();
                 }
-                if p.selected {
-                    predicted += 1;
-                }
-                self.batch_decisions.push((p.label, p.selected));
+                predicted += u64::from(p.selected);
+                m.decisions[p.label][usize::from(!p.selected)].inc();
+                m.wafer_latency_seconds.observe(latency);
                 out[slot] = Some(WaferDecision {
                     route: if p.selected {
                         Route::Predicted(class)
@@ -835,13 +958,10 @@ impl Engine {
                     alarm,
                 });
             }
-            self.stats.record_batch_timed(latency, &self.batch_decisions, &compute_secs);
-            let m = &self.metrics;
             m.batches.inc();
             m.wafers.add(preds.len() as u64);
             m.predicted.add(predicted);
             m.abstained.add(preds.len() as u64 - predicted);
-            m.alarms.add(batch_alarms);
             m.batch_seconds.observe(latency);
             m.batch_size.observe(preds.len() as f64);
             for &c in &compute_secs {
@@ -855,7 +975,8 @@ impl Engine {
             .collect()
     }
 
-    /// Coverage alarms raised so far, in order.
+    /// Coverage alarm incidents raised so far, in order (one per
+    /// crossing below the alarm line, not one per wafer).
     #[must_use]
     pub fn alarms(&self) -> &[CoverageAlarm] {
         &self.alarms
@@ -870,9 +991,9 @@ impl Engine {
             target_coverage: self.target_coverage,
             rolling_coverage: self.monitor.rolling_coverage(),
             alarm_line: self.monitor.alarm_line(),
-            alarms: self.alarms.len() as u64,
+            alarms: self.metrics.alarms.get(),
             last_alarm: self.alarms.last().copied(),
-            serving: self.stats.snapshot(),
+            serving: self.metrics.serving(),
             telemetry: self.registry.snapshot(),
         }
     }
@@ -1291,6 +1412,92 @@ mod tests {
         let parsed = telemetry::parse_exposition(&text).expect("valid exposition");
         assert!(parsed.samples > 0);
         assert!(parsed.families.iter().any(|(n, _)| n == "serve_batch_seconds"));
+    }
+
+    #[test]
+    fn serving_view_and_telemetry_come_from_one_store() {
+        let bundle = tiny_bundle(17);
+        let mut engine = Engine::from_bundle(
+            &bundle,
+            ServeConfig { micro_batch: 4, max_queue_depth: Some(9), ..ServeConfig::default() },
+        )
+        .expect("valid");
+        let fresh = engine.report().serving;
+        assert_eq!((fresh.batches, fresh.wafers, fresh.submitted), (0, 0, 0));
+        assert_eq!(fresh.coverage, 0.0);
+        assert_eq!(fresh.throughput_wafers_per_sec, 0.0);
+        assert_eq!(fresh.latency.max, 0.0);
+
+        // Calibrate so the stream holds both routes.
+        let mut calib = Dataset::new(16);
+        for (i, map) in wafers(18, 16, 18).into_iter().enumerate() {
+            let class = DefectClass::from_index(i % DefectClass::COUNT).expect("valid");
+            calib.push(wafermap::gen::Sample::original(map, class));
+        }
+        engine.calibrate(&calib, 0.5).expect("valid calibration set");
+        // Typed: 12 wafers, 9 served (3 batches) and 3 over the cap.
+        let _ = engine.submit(&wafers(12, 16, 19)).expect("matching grid");
+        // Raw: 7 wafers, 2 poisoned, all 5 valid ones served (2 batches).
+        let mut raw: Vec<RawWafer> = wafers(7, 16, 20).iter().map(RawWafer::from_map).collect();
+        raw[0].pixels[3] = f32::NAN;
+        raw[5].pixels[1] = 0.3;
+        let _ = engine.submit_raw(&raw);
+
+        let report = engine.report();
+        let s = &report.serving;
+        let t = &report.telemetry;
+        let counter = |name: &str, labels: &[(&str, &str)]| {
+            t.counters
+                .iter()
+                .find(|c| {
+                    c.name == name
+                        && c.labels.len() == labels.len()
+                        && labels
+                            .iter()
+                            .all(|&(k, v)| c.labels.iter().any(|(ck, cv)| ck == k && cv == v))
+                })
+                .unwrap_or_else(|| panic!("missing counter {name}{labels:?}"))
+                .value
+        };
+        let histogram = |name: &str| {
+            t.histograms
+                .iter()
+                .find(|h| h.name == name)
+                .unwrap_or_else(|| panic!("missing histogram {name}"))
+                .summary
+        };
+        assert_eq!((s.submitted, s.wafers, s.batches, s.shed), (19, 14, 5, 5));
+        assert_eq!(s.batches, counter("serve_batches_total", &[]));
+        assert_eq!(s.wafers, counter("serve_wafers_total", &[]));
+        assert_eq!(s.predicted, counter("serve_predicted_total", &[]));
+        assert_eq!(s.abstained, counter("serve_abstained_total", &[]));
+        assert_eq!(report.alarms, counter("serve_alarms_total", &[]));
+        for c in &s.shed_per_reason {
+            assert_eq!(c.count, counter("serve_shed_total", &[("reason", c.reason.as_str())]));
+        }
+        assert_eq!(s.shed_per_reason.iter().map(|c| c.count).sum::<u64>(), s.shed);
+        assert_eq!(s.shed_per_reason[ShedReason::InvalidInput.index()].count, 2);
+        assert_eq!(s.shed_per_reason[ShedReason::QueueFull.index()].count, 3);
+        for (i, class) in DefectClass::ALL.iter().enumerate() {
+            let per_route = |route| {
+                counter("serve_decisions_total", &[("class", class.name()), ("route", route)])
+            };
+            assert_eq!(s.predicted_per_class[i], per_route("predicted"));
+            assert_eq!(s.abstained_per_class[i], per_route("abstained"));
+        }
+        assert_eq!(s.predicted_per_class.iter().sum::<u64>(), s.predicted);
+        assert_eq!(s.abstained_per_class.iter().sum::<u64>(), s.abstained);
+        assert!(s.predicted > 0 && s.abstained > 0, "calibration should split the routes");
+        // Latency is weighted per wafer, batch latency per batch.
+        assert_eq!(s.latency, histogram("serve_wafer_latency_seconds"));
+        assert_eq!(s.batch_latency, histogram("serve_batch_seconds"));
+        assert_eq!(s.compute_latency, histogram("serve_wafer_compute_seconds"));
+        assert_eq!(s.latency.count, s.wafers);
+        assert_eq!(s.batch_latency.count, s.batches);
+        assert_eq!(s.compute_latency.count, s.wafers);
+        assert!((s.throughput_wafers_per_sec - s.wafers as f64 / s.batch_latency.sum).abs() < 1e-9);
+        // Shed wafers never dilute coverage.
+        assert_eq!(s.coverage, s.predicted as f64 / s.wafers as f64);
     }
 
     #[test]

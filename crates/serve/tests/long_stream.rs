@@ -1,9 +1,11 @@
 //! Long-stream serving: the engine must hold O(window) state no
 //! matter how many batches flow through it.
 //!
-//! Regression suite for the unbounded-stats bug where `ServingStats`
+//! Regression suite for the unbounded-stats bug where the serving stats
 //! pushed every batch latency and batch size into growing `Vec`s —
-//! a deployed engine leaked memory linearly in stream length.
+//! a deployed engine leaked memory linearly in stream length — and for
+//! the alarm log, which once grew by one entry per wafer while coverage
+//! stayed below the alarm line.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,4 +82,31 @@ fn engine_state_stays_bounded_over_long_streams() {
         .find(|h| h.name == "serve_batch_seconds")
         .expect("engine registers a batch latency histogram");
     assert_eq!(batch_seconds.summary.count, batches as u64, "exact count despite windowing");
+}
+
+#[test]
+fn sustained_shift_is_one_alarm_incident_not_one_per_wafer() {
+    let config = SelectiveConfig::for_grid(GRID).with_conv_channels([2, 2, 2]).with_fc(8);
+    let bundle = CheckpointBundle::export(&mut SelectiveModel::new(&config, 7));
+    // A threshold above any selection score: the model abstains on
+    // every wafer, so rolling coverage stays at 0 for the whole stream.
+    let monitor_window = 16;
+    let mut engine = Engine::from_bundle(
+        &bundle,
+        ServeConfig { threshold: 2.0, monitor_window, ..ServeConfig::default() },
+    )
+    .expect("valid bundle");
+    let wafers = 100 * monitor_window;
+    for chunk in workload(wafers).chunks(64) {
+        engine.submit(chunk).expect("grid matches");
+    }
+    let report = engine.report();
+    assert_eq!(report.serving.abstained, wafers as u64);
+    assert_eq!(engine.alarms().len(), 1, "the alarm log must not grow with the stream");
+    assert_eq!(report.alarms, 1);
+    assert_eq!(
+        engine.alarms()[0].observed,
+        monitor_window as u64,
+        "first alarm on the first full window"
+    );
 }

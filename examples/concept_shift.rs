@@ -22,6 +22,10 @@ fn main() {
         ..TrainConfig::default()
     })
     .run(&mut model, &train);
+    // Calibrate τ so that half of the training wafers clear it: the
+    // coverage the model was trained for.
+    let tau = selective::calibrate_threshold(&model.selection_scores(&train), 0.5);
+    println!("calibrated threshold τ = {tau:.3e}");
 
     let per_class = (test.len() / 9).max(5);
     let splits = [
@@ -33,7 +37,7 @@ fn main() {
     println!("\n{:>16} {:>10} {:>20}", "split", "coverage", "selective accuracy");
     let mut coverages = Vec::new();
     for (name, split) in &splits {
-        let m = model.evaluate(split, 0.5);
+        let m = model.evaluate(split, tau);
         println!(
             "{:>16} {:>9.1}% {:>19.1}%",
             name,
@@ -56,7 +60,7 @@ fn main() {
             data.extend(s.map.to_image());
         }
         let images = nn::Tensor::from_vec(data, &[chunk.len(), 1, 32, 32]);
-        for p in model.infer_predict(&images, 0.5) {
+        for p in model.infer_predict(&images, tau) {
             if alarm.is_none() {
                 alarm = monitor.observe(p.selected);
             }
