@@ -6,7 +6,9 @@
 //! back empty, the JSON snapshot fails to round-trip, or a Prometheus
 //! rendering fails [`telemetry::parse_exposition`].
 //!
-//! Also asserts the zero-allocation instrumentation is live: the
+//! Also asserts the workspace-growth instrumentation is live (it counts
+//! scratch-buffer growths only, not heap allocations; perfbench's
+//! `process.allocs_per_{wafer,step}` count those): the
 //! process-global registry must carry the workspace scratch counters
 //! (`hotpath_scratch_grows_total` > 0 after a training run — buffers
 //! grew during warm-up — and a non-zero `hotpath_scratch_bytes`

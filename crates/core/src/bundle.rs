@@ -55,7 +55,10 @@ pub struct TrainProgress {
 /// [`SelectiveModel`] — and, when training progress is attached, to
 /// resume training exactly.
 ///
-/// See the [module docs](self) for the exact-resume guarantee.
+/// Resuming from a bundle written by [`crate::Trainer::run_to_checkpoint`]
+/// reproduces a straight run exactly: the bundle carries the parameter
+/// values, gradients and Adam moments, the Adam step counter, the
+/// training config and the completed epoch count.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CheckpointBundle {
     format_version: u32,

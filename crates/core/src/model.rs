@@ -201,7 +201,7 @@ impl SelectiveModel {
     /// followed by a softmax) but runs through `&self` on the no-grad
     /// [`Layer::infer`] path: no activation caches are written and
     /// samples are processed **block-major** — the batch splits into
-    /// fixed [`INFER_BLOCK`]-wafer blocks, each block runs the whole
+    /// fixed 4-wafer blocks (`INFER_BLOCK`), each block runs the whole
     /// network as one batched forward on its worker. Blocked forwards
     /// amortize GEMM packing and per-call overhead (one `m = 4` fc GEMM
     /// instead of four `m = 1` ones), so micro-batching pays even on a

@@ -1,11 +1,17 @@
-//! The zero-allocation contract of the training hot path.
+//! The workspace-growth contract of the training hot path.
 //!
 //! Every internal scratch buffer on the batch path (im2col columns,
 //! conv gradient partials, GEMM pack panels, loss scratch) is sized
 //! through `nn::workspace::reserve_f32`, which grows a buffer at most
 //! once per high-water mark and counts each growth. After a warm-up
 //! epoch has visited every shape, further training must not grow any
-//! workspace buffer: the process-wide grow counter stays flat.
+//! workspace buffer: the process-wide grow counter (`grow_count`)
+//! stays flat.
+//!
+//! The contract covers those buffers only, not every heap allocation:
+//! layer outputs, gradients and caches are still allocated per batch.
+//! perfbench's counting allocator reports the real heap counts as
+//! `process.allocs_per_step` and `process.allocs_per_wafer`.
 //!
 //! This file holds a single test on purpose: the counter is
 //! process-global, so a concurrently running test that warms its own

@@ -17,7 +17,7 @@
 //! For every output element the blocked kernels add contributions in
 //! strictly increasing `p` order onto the resident `C` value, using
 //! `f32::mul_add` for each step. That is exactly what the serial
-//! kernels in [`reference`] compute, so the fast path is bit-identical
+//! kernels in [`reference`](mod@reference) compute, so the fast path is bit-identical
 //! to the reference for every shape and every thread count: the row
 //! block / panel / microkernel grid depends only on the problem shape,
 //! and the pool only changes which thread computes which block. The

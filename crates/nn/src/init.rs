@@ -17,24 +17,6 @@ pub fn he<R: Rng + ?Sized>(shape: &[usize], fan_in: usize, rng: &mut R) -> Tenso
     Tensor::randn(shape, (2.0 / fan_in as f32).sqrt(), rng)
 }
 
-/// Xavier (Glorot) normal initialization: zero-mean Gaussian with
-/// `std = sqrt(2 / (fan_in + fan_out))`. Used ahead of sigmoid/tanh
-/// activations (the selection head and the auto-encoder output).
-///
-/// # Panics
-///
-/// Panics if `fan_in + fan_out` is zero.
-#[must_use]
-pub fn xavier<R: Rng + ?Sized>(
-    shape: &[usize],
-    fan_in: usize,
-    fan_out: usize,
-    rng: &mut R,
-) -> Tensor {
-    assert!(fan_in + fan_out > 0, "fans must not both be zero");
-    Tensor::randn(shape, (2.0 / (fan_in + fan_out) as f32).sqrt(), rng)
-}
-
 #[cfg(test)]
 mod tests {
     use rand::rngs::StdRng;
@@ -49,15 +31,6 @@ mod tests {
         let mean = t.mean();
         let var = t.data().iter().map(|v| (v - mean).powi(2)).sum::<f32>() / t.numel() as f32;
         let expect = 2.0 / 50.0;
-        assert!((var - expect).abs() < expect * 0.2, "var {var}, expect {expect}");
-    }
-
-    #[test]
-    fn xavier_std_uses_both_fans() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let t = xavier(&[100, 100], 100, 100, &mut rng);
-        let var = t.data().iter().map(|v| v * v).sum::<f32>() / t.numel() as f32;
-        let expect = 2.0 / 200.0;
         assert!((var - expect).abs() < expect * 0.2, "var {var}, expect {expect}");
     }
 }

@@ -29,9 +29,10 @@ impl Relu {
 
 impl Layer for Relu {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mask: Vec<bool> = input.data().iter().map(|&v| v > 0.0).collect();
-        let out = input.map(|v| v.max(0.0));
-        self.mask = Some(mask);
+        let out = self.infer(input);
+        // `max(v, 0) > 0` exactly when `v > 0`, so the output carries
+        // the mask.
+        self.mask = Some(out.data().iter().map(|&v| v > 0.0).collect());
         out
     }
 
@@ -78,7 +79,7 @@ impl Sigmoid {
 
 impl Layer for Sigmoid {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let out = input.map(stable_sigmoid);
+        let out = self.infer(input);
         self.output = Some(out.clone());
         out
     }

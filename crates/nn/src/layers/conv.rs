@@ -42,9 +42,10 @@ pub struct Conv2d {
 
 thread_local! {
     /// Reusable im2col buffer for [`Conv2d::infer`]. One per thread:
-    /// pool workers are persistent, so after warm-up the serving path
-    /// performs no per-call allocation. `im2col` overwrites every
-    /// element (padding included), so the buffer never needs zeroing.
+    /// pool workers are persistent, so after warm-up the buffer never
+    /// grows again (the output tensor is still allocated per call).
+    /// `im2col` overwrites every element (padding included), so the
+    /// buffer never needs zeroing.
     static COL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Reusable `dcol` buffer for [`Conv2d::backward`]'s per-sample
     /// input-gradient GEMM. Per thread, like [`COL_SCRATCH`]: samples
@@ -145,6 +146,28 @@ impl Conv2d {
         self.in_channels * self.kernel * self.kernel
     }
 
+    /// Validate a `[N, C_in, H, W]` input; returns its shape and the
+    /// output's spatial size.
+    fn check_input(&self, input: &Tensor) -> ([usize; 4], (usize, usize)) {
+        let shape = input.shape();
+        assert_eq!(shape.len(), 4, "Conv2d expects [N, C, H, W]");
+        let [n, c, h, w] = [shape[0], shape[1], shape[2], shape[3]];
+        assert_eq!(c, self.in_channels, "Conv2d expects {} input channels", self.in_channels);
+        ([n, c, h, w], self.output_hw(h, w))
+    }
+
+    /// The per-sample kernel shared by `forward` and `infer`:
+    /// `out_n [C_out, OH·OW] = W [C_out, CKK] · im2col(sample) + b`.
+    /// `col` is overwritten with the sample's im2col unfolding.
+    fn conv_sample(&self, sample: &[f32], h: usize, w: usize, col: &mut [f32], out_n: &mut [f32]) {
+        let (oh, ow) = self.output_hw(h, w);
+        self.im2col(sample, h, w, col);
+        sgemm(self.out_channels, self.col_rows(), oh * ow, self.weight.value.data(), col, out_n);
+        for (chunk, &b) in out_n.chunks_exact_mut(oh * ow).zip(self.bias.value.data()) {
+            chunk.iter_mut().for_each(|v| *v += b);
+        }
+    }
+
     /// Unfold one sample `[C_in, H, W]` into `col [C_in·k·k, OH·OW]`.
     fn im2col(&self, sample: &[f32], h: usize, w: usize, col: &mut [f32]) {
         let (oh, ow) = self.output_hw(h, w);
@@ -210,13 +233,8 @@ impl Conv2d {
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let shape = input.shape();
-        assert_eq!(shape.len(), 4, "Conv2d expects [N, C, H, W]");
-        let [n, c, h, w] = [shape[0], shape[1], shape[2], shape[3]];
-        assert_eq!(c, self.in_channels, "Conv2d expects {} input channels", self.in_channels);
-        let (oh, ow) = self.output_hw(h, w);
-        let col_rows = self.col_rows();
-        let col_size = col_rows * oh * ow;
+        let ([n, c, h, w], (oh, ow)) = self.check_input(input);
+        let col_size = self.col_rows() * oh * ow;
         // Reclaim the warm im2col buffer (from the previous cache or
         // the parked scratch) instead of allocating per batch; `im2col`
         // overwrites every element, so no zeroing either.
@@ -227,26 +245,18 @@ impl Layer for Conv2d {
             .unwrap_or_else(|| std::mem::take(&mut self.scratch.cols));
         workspace::reserve_f32(&mut cols, n * col_size);
         let mut out = Tensor::zeros(&[n, self.out_channels, oh, ow]);
-        let out_plane = self.out_channels * oh * ow;
         if oh * ow > 0 {
             // One chunk per sample: im2col buffers and output planes
             // are disjoint per-sample shards, so the batch fans out
-            // across the worker pool with no cross-sample state.
+            // across the worker pool with no cross-sample state. The
+            // shards are kept as the backward cache.
             let input_data = input.data();
             let col_shards = Shards::new(&mut cols[..n * col_size], col_size);
-            let out_shards = Shards::new(out.data_mut(), out_plane);
+            let out_shards = Shards::new(out.data_mut(), self.out_channels * oh * ow);
             let this = &*self;
             pool::parallel_for(n, |i| {
                 let sample = &input_data[i * c * h * w..(i + 1) * c * h * w];
-                let col = col_shards.claim(i);
-                this.im2col(sample, h, w, col);
-                let out_n = out_shards.claim(i);
-                // out_n [C_out, OH·OW] = W [C_out, CKK] · col [CKK, OH·OW]
-                sgemm(this.out_channels, col_rows, oh * ow, this.weight.value.data(), col, out_n);
-                for (co, chunk) in out_n.chunks_exact_mut(oh * ow).enumerate() {
-                    let b = this.bias.value.data()[co];
-                    chunk.iter_mut().for_each(|v| *v += b);
-                }
+                this.conv_sample(sample, h, w, col_shards.claim(i), out_shards.claim(i));
             });
         }
         self.cache = Some(ConvCache { input_shape: [n, c, h, w], out_hw: (oh, ow), cols });
@@ -254,37 +264,20 @@ impl Layer for Conv2d {
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
-        let shape = input.shape();
-        assert_eq!(shape.len(), 4, "Conv2d expects [N, C, H, W]");
-        let [n, c, h, w] = [shape[0], shape[1], shape[2], shape[3]];
-        assert_eq!(c, self.in_channels, "Conv2d expects {} input channels", self.in_channels);
-        let (oh, ow) = self.output_hw(h, w);
-        let col_rows = self.col_rows();
-        let col_size = col_rows * oh * ow;
+        let ([n, c, h, w], (oh, ow)) = self.check_input(input);
         let mut out = Tensor::zeros(&[n, self.out_channels, oh, ow]);
         if oh * ow > 0 {
+            let col_size = self.col_rows() * oh * ow;
+            let out_plane = self.out_channels * oh * ow;
             let input_data = input.data();
             let out_data = out.data_mut();
-            let out_plane = self.out_channels * oh * ow;
             COL_SCRATCH.with(|cell| {
                 let mut col = cell.borrow_mut();
-                workspace::reserve_f32(&mut col, col_size);
+                let col = workspace::reserve_f32(&mut col, col_size);
                 for i in 0..n {
                     let sample = &input_data[i * c * h * w..(i + 1) * c * h * w];
-                    self.im2col(sample, h, w, &mut col[..col_size]);
                     let out_n = &mut out_data[i * out_plane..(i + 1) * out_plane];
-                    sgemm(
-                        self.out_channels,
-                        col_rows,
-                        oh * ow,
-                        self.weight.value.data(),
-                        &col[..col_size],
-                        out_n,
-                    );
-                    for (co, chunk) in out_n.chunks_exact_mut(oh * ow).enumerate() {
-                        let b = self.bias.value.data()[co];
-                        chunk.iter_mut().for_each(|v| *v += b);
-                    }
+                    self.conv_sample(sample, h, w, col, out_n);
                 }
             });
         }

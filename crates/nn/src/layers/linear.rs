@@ -56,29 +56,7 @@ impl Linear {
 
 impl Layer for Linear {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert_eq!(input.shape().len(), 2, "Linear expects [batch, features]");
-        let batch = input.shape()[0];
-        assert_eq!(
-            input.shape()[1],
-            self.in_features,
-            "Linear expects {} input features",
-            self.in_features
-        );
-        let mut out = Tensor::zeros(&[batch, self.out_features]);
-        // y[i,j] = Σ_p x[i,p] · W[j,p]  (W stored [out,in])
-        sgemm_nt(
-            batch,
-            self.in_features,
-            self.out_features,
-            input.data(),
-            self.weight.value.data(),
-            out.data_mut(),
-        );
-        for row in out.data_mut().chunks_exact_mut(self.out_features) {
-            for (o, b) in row.iter_mut().zip(self.bias.value.data()) {
-                *o += b;
-            }
-        }
+        let out = self.infer(input);
         self.cached_input = Some(input.clone());
         out
     }
@@ -93,6 +71,7 @@ impl Layer for Linear {
             self.in_features
         );
         let mut out = Tensor::zeros(&[batch, self.out_features]);
+        // y[i,j] = Σ_p x[i,p] · W[j,p]  (W stored [out,in])
         sgemm_nt(
             batch,
             self.in_features,

@@ -6,7 +6,6 @@
 
 mod activation;
 mod conv;
-mod convtranspose;
 mod linear;
 mod pool;
 mod shape;
@@ -14,7 +13,6 @@ mod upsample;
 
 pub use activation::{stable_sigmoid, Relu, Sigmoid};
 pub use conv::Conv2d;
-pub use convtranspose::ConvTranspose2d;
 pub use linear::Linear;
 pub use pool::MaxPool2d;
 pub use shape::Flatten;

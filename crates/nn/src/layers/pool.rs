@@ -50,95 +50,88 @@ impl MaxPool2d {
     pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
         (h / self.window, w / self.window)
     }
+
+    /// Pool `input`, and when `argmax` is given, fill it with each
+    /// window's flat input index of its maximum: the first element in
+    /// row-major window order that equals the max.
+    fn pool(&self, input: &Tensor, mut argmax: Option<&mut Vec<usize>>) -> Tensor {
+        let shape = input.shape();
+        assert_eq!(shape.len(), 4, "MaxPool2d expects [N, C, H, W]");
+        let [n, c, h, w] = [shape[0], shape[1], shape[2], shape[3]];
+        let (oh, ow) = self.output_hw(h, w);
+        assert!(oh > 0 && ow > 0, "input {h}x{w} smaller than pooling window");
+        let mut out = Tensor::zeros(&[n, c, oh, ow]);
+        if let Some(argmax) = argmax.as_deref_mut() {
+            *argmax = vec![0; n * c * oh * ow];
+        }
+        let data = input.data();
+        let out_data = out.data_mut();
+        for nc in 0..n * c {
+            let plane_base = nc * h * w;
+            let out_base = nc * oh * ow;
+            for oy in 0..oh {
+                let out_row = &mut out_data[out_base + oy * ow..][..ow];
+                let mut arg_row = argmax.as_deref_mut().map(|a| &mut a[out_base + oy * ow..][..ow]);
+                if self.window == 2 {
+                    // The paper's only pooling shape: branch-free
+                    // max-of-four over adjacent row pairs (the same value
+                    // as the scan below — the inputs are finite, so max
+                    // order does not matter).
+                    let top_base = plane_base + 2 * oy * w;
+                    let top = &data[top_base..][..w];
+                    let bot = &data[top_base + w..][..w];
+                    for (ox, o) in out_row.iter_mut().enumerate() {
+                        let x = 2 * ox;
+                        let (tl, tr, bl, br) = (top[x], top[x + 1], bot[x], bot[x + 1]);
+                        let max = tl.max(tr).max(bl).max(br);
+                        *o = max;
+                        if let Some(arg_row) = arg_row.as_deref_mut() {
+                            // Selects, not branches: which cell holds the
+                            // max is data-dependent and mispredicts.
+                            let off = if bl == max { w } else { w + 1 };
+                            let off = if tr == max { 1 } else { off };
+                            let off = if tl == max { 0 } else { off };
+                            arg_row[ox] = top_base + x + off;
+                        }
+                    }
+                } else {
+                    for (ox, o) in out_row.iter_mut().enumerate() {
+                        let mut best = f32::NEG_INFINITY;
+                        let mut best_idx = 0usize;
+                        for dy in 0..self.window {
+                            let row_base = plane_base + (oy * self.window + dy) * w;
+                            for dx in 0..self.window {
+                                let idx = row_base + ox * self.window + dx;
+                                if data[idx] > best {
+                                    best = data[idx];
+                                    best_idx = idx;
+                                }
+                            }
+                        }
+                        *o = best;
+                        if let Some(arg_row) = arg_row.as_deref_mut() {
+                            arg_row[ox] = best_idx;
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
 }
 
 impl Layer for MaxPool2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
+        let mut argmax = Vec::new();
+        let out = self.pool(input, Some(&mut argmax));
         let shape = input.shape();
-        assert_eq!(shape.len(), 4, "MaxPool2d expects [N, C, H, W]");
-        let [n, c, h, w] = [shape[0], shape[1], shape[2], shape[3]];
-        let (oh, ow) = self.output_hw(h, w);
-        assert!(oh > 0 && ow > 0, "input {h}x{w} smaller than pooling window");
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let mut argmax = vec![0usize; n * c * oh * ow];
-        let data = input.data();
-        let out_data = out.data_mut();
-        for nc in 0..n * c {
-            let plane_base = nc * h * w;
-            let out_base = nc * oh * ow;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
-                    for dy in 0..self.window {
-                        let y = oy * self.window + dy;
-                        for dx in 0..self.window {
-                            let x = ox * self.window + dx;
-                            let idx = plane_base + y * w + x;
-                            if data[idx] > best {
-                                best = data[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    out_data[out_base + oy * ow + ox] = best;
-                    argmax[out_base + oy * ow + ox] = best_idx;
-                }
-            }
-        }
-        self.cache = Some(PoolCache { input_shape: [n, c, h, w], argmax });
+        self.cache =
+            Some(PoolCache { input_shape: [shape[0], shape[1], shape[2], shape[3]], argmax });
         out
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
-        let shape = input.shape();
-        assert_eq!(shape.len(), 4, "MaxPool2d expects [N, C, H, W]");
-        let [n, c, h, w] = [shape[0], shape[1], shape[2], shape[3]];
-        let (oh, ow) = self.output_hw(h, w);
-        assert!(oh > 0 && ow > 0, "input {h}x{w} smaller than pooling window");
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let data = input.data();
-        let out_data = out.data_mut();
-        if self.window == 2 {
-            // The paper's only pooling shape: branch-free max-of-four
-            // over adjacent row pairs (same value as the scan below —
-            // the inputs are finite, so max order does not matter).
-            for nc in 0..n * c {
-                let plane_base = nc * h * w;
-                let out_base = nc * oh * ow;
-                for oy in 0..oh {
-                    let top = &data[plane_base + 2 * oy * w..][..w];
-                    let bot = &data[plane_base + (2 * oy + 1) * w..][..w];
-                    let out_row = &mut out_data[out_base + oy * ow..][..ow];
-                    for (ox, o) in out_row.iter_mut().enumerate() {
-                        let x = 2 * ox;
-                        *o = top[x].max(top[x + 1]).max(bot[x]).max(bot[x + 1]);
-                    }
-                }
-            }
-            return out;
-        }
-        for nc in 0..n * c {
-            let plane_base = nc * h * w;
-            let out_base = nc * oh * ow;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    for dy in 0..self.window {
-                        let y = oy * self.window + dy;
-                        let row = &data[plane_base + y * w..plane_base + (y + 1) * w];
-                        for dx in 0..self.window {
-                            let v = row[ox * self.window + dx];
-                            if v > best {
-                                best = v;
-                            }
-                        }
-                    }
-                    out_data[out_base + oy * ow + ox] = best;
-                }
-            }
-        }
-        out
+        self.pool(input, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

@@ -30,12 +30,9 @@ impl Flatten {
 
 impl Layer for Flatten {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let shape = input.shape();
-        assert!(shape.len() >= 2, "Flatten expects at least [N, ...]");
-        let n = shape[0];
-        let rest: usize = shape[1..].iter().product();
-        self.input_shape = Some(shape.to_vec());
-        input.reshaped(&[n, rest])
+        let out = self.infer(input);
+        self.input_shape = Some(input.shape().to_vec());
+        out
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {

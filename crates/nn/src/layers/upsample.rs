@@ -40,6 +40,13 @@ impl Upsample2d {
 
 impl Layer for Upsample2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
+        let out = self.infer(input);
+        let shape = input.shape();
+        self.input_shape = Some([shape[0], shape[1], shape[2], shape[3]]);
+        out
+    }
+
+    fn infer(&self, input: &Tensor) -> Tensor {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "Upsample2d expects [N, C, H, W]");
         let [n, c, h, w] = [shape[0], shape[1], shape[2], shape[3]];
@@ -58,7 +65,6 @@ impl Layer for Upsample2d {
                 }
             }
         }
-        self.input_shape = Some([n, c, h, w]);
         out
     }
 

@@ -2,17 +2,18 @@
 //! deep-selective-learning reproduction.
 //!
 //! This crate provides everything the paper's models need and nothing
-//! more: a dense `f32` [`Tensor`], a threaded GEMM, convolutional /
-//! pooling / linear layers with **manual backpropagation**, common
-//! activations, fused softmax cross-entropy and MSE losses, He/Xavier
-//! initialization, and the Adam optimizer. Weights serialize with
-//! `serde` for checkpointing.
+//! more: a dense `f32` [`Tensor`], a threaded GEMM, convolution,
+//! max-pool, upsample and linear layers with **manual
+//! backpropagation**, ReLU/sigmoid activations, fused softmax
+//! cross-entropy and MSE losses, He initialization, and the Adam
+//! optimizer. Weights serialize with `serde` for checkpointing.
 //!
 //! The design follows a classic layer-object architecture: each
-//! [`Layer`] caches whatever it needs during `forward` and consumes it
-//! in `backward`, and owns its [`Param`]s (value + gradient + Adam
-//! moments). A [`Sequential`] container chains layers; multi-head
-//! models (like SelectiveNet) compose layers manually.
+//! [`Layer`] computes its output in one place, [`Layer::infer`];
+//! `forward` runs that same computation and also caches whatever
+//! `backward` consumes. Each layer owns its [`Param`]s (value +
+//! gradient + Adam moments). A [`Sequential`] container chains layers;
+//! multi-head models (like SelectiveNet) compose layers manually.
 //!
 //! # Example
 //!
@@ -73,13 +74,16 @@ pub use tensor::Tensor;
 pub trait Layer: std::fmt::Debug + Send + Sync {
     /// Compute the layer output for `input`, caching activations
     /// needed by the backward pass.
+    ///
+    /// Every layer in [`layers`] computes the output with the same code
+    /// as [`Layer::infer`] and only adds the cache capture, so the two
+    /// passes are bit-identical.
     fn forward(&mut self, input: &Tensor) -> Tensor;
 
-    /// Inference-only forward pass: same output as [`Layer::forward`]
-    /// (bit-identical for the layers that implement it) but through
-    /// `&self` — no activation caches are written, so nothing is
-    /// retained for `backward` and no per-call buffers need to be
-    /// zeroed or kept alive.
+    /// Inference-only forward pass: same output as [`Layer::forward`],
+    /// bit for bit, but through `&self` — no activation caches are
+    /// written, so nothing is retained for `backward`. The output
+    /// tensor is still allocated per call.
     ///
     /// This is the serving path. It runs single-threaded per call;
     /// callers parallelize **across samples** (see
@@ -89,8 +93,9 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     ///
     /// # Panics
     ///
-    /// The default implementation panics: training-oriented layers
-    /// that never appear on a serving path do not implement it.
+    /// The default implementation panics. Every layer in [`layers`]
+    /// overrides it; the default serves only composite types outside
+    /// this crate that have no inference-only pass.
     fn infer(&self, _input: &Tensor) -> Tensor {
         panic!("this layer does not implement the inference-only forward pass");
     }

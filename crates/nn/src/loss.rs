@@ -57,22 +57,11 @@ pub fn softmax_into(logits: &Tensor, out: &mut Tensor) {
     }
 }
 
-/// Per-sample cross-entropy `−log p[label]` from softmax probabilities.
+/// Per-sample cross-entropy `−log p[label]` from softmax probabilities,
+/// into a caller-provided vector (cleared and refilled,
+/// allocation-free once warmed).
 ///
 /// Probabilities are floored at `1e-12` for numerical safety.
-///
-/// # Panics
-///
-/// Panics if shapes disagree or any label is out of range.
-#[must_use]
-pub fn cross_entropy_per_sample(probs: &Tensor, labels: &[usize]) -> Vec<f32> {
-    let mut out = Vec::new();
-    cross_entropy_per_sample_into(probs, labels, &mut out);
-    out
-}
-
-/// [`cross_entropy_per_sample`] into a caller-provided vector
-/// (cleared and refilled, allocation-free once warmed).
 ///
 /// # Panics
 ///
@@ -87,24 +76,12 @@ pub fn cross_entropy_per_sample_into(probs: &Tensor, labels: &[usize], out: &mut
     }));
 }
 
-/// Unscaled per-sample gradient of cross-entropy w.r.t. logits:
-/// row `i` is `p_i − onehot(y_i)`.
+/// Unscaled per-sample gradient of cross-entropy w.r.t. logits, into a
+/// caller-provided tensor (resized in place, allocation-free once
+/// warmed): row `i` is `p_i − onehot(y_i)`.
 ///
 /// Multiply rows by per-sample coefficients and a reduction factor to
 /// build any weighted CE variant.
-///
-/// # Panics
-///
-/// Panics if shapes disagree or any label is out of range.
-#[must_use]
-pub fn cross_entropy_grad_rows(probs: &Tensor, labels: &[usize]) -> Tensor {
-    let mut grad = Tensor::default();
-    cross_entropy_grad_rows_into(probs, labels, &mut grad);
-    grad
-}
-
-/// [`cross_entropy_grad_rows`] into a caller-provided tensor (resized
-/// in place, allocation-free once warmed).
 ///
 /// # Panics
 ///
@@ -249,33 +226,6 @@ pub fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
     (loss / n, grad)
 }
 
-/// Binary cross-entropy on probabilities in `(0, 1)` with `{0, 1}`
-/// targets: `L = mean(−t·ln p − (1−t)·ln(1−p))`, with the matching
-/// gradient w.r.t. `p`. Probabilities are clamped to
-/// `[1e-7, 1 − 1e-7]` for stability.
-///
-/// Used for training the selection head in isolation (e.g. warm-up or
-/// diagnostic probes); the main selective objective lives in the
-/// `selective` crate.
-///
-/// # Panics
-///
-/// Panics on shape mismatch or an empty tensor.
-#[must_use]
-pub fn binary_cross_entropy(probs: &Tensor, targets: &Tensor) -> (f32, Tensor) {
-    assert_eq!(probs.shape(), targets.shape(), "bce shape mismatch");
-    let n = probs.numel() as f32;
-    assert!(n > 0.0, "bce on empty tensor");
-    let mut grad = probs.clone();
-    let mut loss = 0.0f32;
-    for (g, &t) in grad.data_mut().iter_mut().zip(targets.data()) {
-        let p = g.clamp(1e-7, 1.0 - 1e-7);
-        loss += -t * p.ln() - (1.0 - t) * (1.0 - p).ln();
-        *g = (p - t) / (p * (1.0 - p)) / n;
-    }
-    (loss / n, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use rand::rngs::StdRng;
@@ -394,38 +344,5 @@ mod tests {
     fn argmax_prefers_first_on_tie() {
         assert_eq!(argmax(&[1.0, 1.0, 0.5]), 0);
         assert_eq!(argmax(&[0.1, 0.9, 0.9]), 1);
-    }
-
-    #[test]
-    fn bce_perfect_and_worst_cases() {
-        let targets = Tensor::from_vec(vec![1.0, 0.0], &[2]);
-        let good = Tensor::from_vec(vec![0.999, 0.001], &[2]);
-        let (low, _) = binary_cross_entropy(&good, &targets);
-        assert!(low < 0.01);
-        let bad = Tensor::from_vec(vec![0.001, 0.999], &[2]);
-        let (high, _) = binary_cross_entropy(&bad, &targets);
-        assert!(high > 3.0);
-    }
-
-    #[test]
-    fn bce_gradient_matches_finite_differences() {
-        let targets = Tensor::from_vec(vec![1.0, 0.0, 1.0], &[3]);
-        let probs = Tensor::from_vec(vec![0.3, 0.6, 0.8], &[3]);
-        let (_, grad) = binary_cross_entropy(&probs, &targets);
-        let eps = 1e-4f32;
-        for i in 0..3 {
-            let mut pp = probs.clone();
-            pp.data_mut()[i] += eps;
-            let mut pm = probs.clone();
-            pm.data_mut()[i] -= eps;
-            let (lp, _) = binary_cross_entropy(&pp, &targets);
-            let (lm, _) = binary_cross_entropy(&pm, &targets);
-            let numeric = (lp - lm) / (2.0 * eps);
-            assert!(
-                (numeric - grad.data()[i]).abs() < 1e-2,
-                "bce grad mismatch at {i}: {numeric} vs {}",
-                grad.data()[i]
-            );
-        }
     }
 }

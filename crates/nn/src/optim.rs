@@ -56,16 +56,6 @@ impl Adam {
         self.lr
     }
 
-    /// Change the learning rate (for schedules).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive.
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
     /// Number of steps taken so far.
     #[must_use]
     pub fn steps(&self) -> u64 {

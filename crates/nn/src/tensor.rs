@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
 /// assert_eq!(t.shape(), &[2, 2]);
-/// assert_eq!(t.at2(1, 0), 3.0);
+/// assert_eq!(t.data()[2], 3.0);
 /// let u = t.map(|v| v * 2.0);
 /// assert_eq!(u.data()[3], 8.0);
 /// ```
@@ -156,19 +156,6 @@ impl Tensor {
         self.shape = shape.to_vec();
     }
 
-    /// Element at `(row, col)` of a 2-D tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not 2-D or indices are out of range.
-    #[must_use]
-    pub fn at2(&self, row: usize, col: usize) -> f32 {
-        assert_eq!(self.shape.len(), 2, "at2 requires a 2-D tensor");
-        let (r, c) = (self.shape[0], self.shape[1]);
-        assert!(row < r && col < c, "index ({row},{col}) out of bounds for {r}x{c}");
-        self.data[row * c + col]
-    }
-
     /// Fill every element with `value`.
     pub fn fill(&mut self, value: f32) {
         self.data.iter_mut().for_each(|v| *v = value);
@@ -219,18 +206,6 @@ impl Tensor {
         Tensor { shape: self.shape.clone(), data }
     }
 
-    /// In-place `self += scale * other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_scaled(&mut self, other: &Tensor, scale: f32) {
-        assert_eq!(self.shape, other.shape, "add_scaled shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += scale * b;
-        }
-    }
-
     /// Multiply every element by `scale` in place.
     pub fn scale(&mut self, scale: f32) {
         self.data.iter_mut().for_each(|v| *v *= scale);
@@ -250,12 +225,6 @@ impl Tensor {
         } else {
             self.sum() / self.data.len() as f32
         }
-    }
-
-    /// Largest absolute element (L∞ norm).
-    #[must_use]
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
     }
 
     /// Whether every element is finite.
@@ -299,8 +268,9 @@ mod tests {
     fn construction_and_access() {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
         assert_eq!(t.numel(), 6);
-        assert_eq!(t.at2(0, 2), 3.0);
-        assert_eq!(t.at2(1, 0), 4.0);
+        assert_eq!(t.shape(), &[2, 3]);
+        assert_eq!(t.data()[2], 3.0);
+        assert_eq!(t.data()[3], 4.0);
     }
 
     #[test]
@@ -371,11 +341,8 @@ mod tests {
     }
 
     #[test]
-    fn add_scaled_and_scale() {
-        let mut a = Tensor::full(&[4], 1.0);
-        let b = Tensor::full(&[4], 2.0);
-        a.add_scaled(&b, 0.5);
-        assert_eq!(a.data(), &[2.0; 4]);
+    fn scale_multiplies_in_place() {
+        let mut a = Tensor::full(&[4], 2.0);
         a.scale(3.0);
         assert_eq!(a.data(), &[6.0; 4]);
     }
@@ -384,7 +351,6 @@ mod tests {
     fn map_and_reductions() {
         let t = Tensor::from_vec(vec![-1.0, 2.0, -3.0], &[3]);
         assert_eq!(t.map(f32::abs).sum(), 6.0);
-        assert_eq!(t.max_abs(), 3.0);
         assert!((t.mean() - (-2.0 / 3.0)).abs() < 1e-6);
         assert!(t.is_finite());
         assert!(!t.map(|v| v / 0.0).is_finite());

@@ -12,10 +12,11 @@
 //! - `hotpath_scratch_bytes` — current total bytes held (gauge).
 //!
 //! In steady state (fixed shapes after the first batch) the grow
-//! counter must stay flat: that is the "zero hot-path allocations"
-//! contract, asserted by `crates/core/tests/hot_path_alloc.rs`. The
-//! counters are monotone and process-global, so tests assert on
-//! deltas.
+//! counter must stay flat: that is the workspace-growth contract,
+//! asserted by `crates/core/tests/hot_path_alloc.rs`. It covers these
+//! buffers only; layer outputs and other per-call tensors are still
+//! heap-allocated. The counters are monotone and process-global, so
+//! tests assert on deltas.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;

@@ -2,8 +2,8 @@
 //!
 //! Provides the subset of the proptest API this workspace's property
 //! tests use: the [`proptest!`] macro, [`ProptestConfig`],
-//! range/tuple/[`Just`]/[`prop_oneof!`]/`collection::vec` strategies,
-//! [`any`], and the `prop_assert*` macros. Case generation is
+//! range/tuple/[`Just`](strategy::Just)/[`prop_oneof!`]/`collection::vec`
+//! strategies, [`any`](arbitrary::any), and the `prop_assert*` macros. Case generation is
 //! deterministic: the RNG is seeded from the test name and case
 //! index, so failures reproduce across runs without a persistence
 //! file. Shrinking is not implemented — a failing case panics with

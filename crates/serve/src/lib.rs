@@ -117,9 +117,10 @@ pub struct ServeConfig {
     /// `alarm_fraction · target_coverage`.
     pub alarm_fraction: f64,
     /// Samples retained by each of the engine's telemetry histograms
-    /// (batch and wafer latency, batch size, wafer compute time) — the
-    /// engine's memory bound: state is O(`stats_window` +
-    /// `monitor_window`) no matter how many wafers stream through.
+    /// (batch and wafer latency, batch size, wafer compute time) and
+    /// alarm incidents retained by [`Engine::alarms`] — the engine's
+    /// memory bound: state is O(`stats_window` + `monitor_window`) no
+    /// matter how many wafers stream through.
     pub stats_window: usize,
     /// Per-submission latency budget in seconds. When a submission
     /// overruns it, the not-yet-served remainder is shed to the reject
@@ -645,7 +646,12 @@ pub struct Engine {
     threshold: f32,
     target_coverage: f64,
     monitor: CoverageMonitor,
+    /// Alarm incident log. [`Engine::alarms`] exposes its most recent
+    /// `alarm_log_len` entries; the older half is dropped whenever the
+    /// log reaches twice that, so memory stays O(`stats_window`) even
+    /// when coverage flaps around the alarm line.
     alarms: Vec<CoverageAlarm>,
+    alarm_log_len: usize,
     registry: Registry,
     metrics: EngineMetrics,
     /// Micro-batch staging tensor, grown once to
@@ -719,6 +725,7 @@ impl Engine {
                 config.alarm_fraction,
             ),
             alarms: Vec::new(),
+            alarm_log_len: config.stats_window,
             registry,
             metrics,
             staging: nn::Tensor::default(),
@@ -941,6 +948,9 @@ impl Engine {
                 let class = DefectClass::from_index(p.label).expect("validated class range");
                 let alarm = self.monitor.observe(p.selected);
                 if let Some(a) = alarm {
+                    if self.alarms.len() == 2 * self.alarm_log_len {
+                        self.alarms.drain(..self.alarm_log_len);
+                    }
                     self.alarms.push(a);
                     m.alarms.inc();
                 }
@@ -975,11 +985,13 @@ impl Engine {
             .collect()
     }
 
-    /// Coverage alarm incidents raised so far, in order (one per
-    /// crossing below the alarm line, not one per wafer).
+    /// The most recent coverage alarm incidents, oldest first (one per
+    /// crossing below the alarm line, not one per wafer). At most
+    /// [`ServeConfig::stats_window`] are retained; `serve_alarms_total`
+    /// and [`ServeReport::alarms`] count every incident.
     #[must_use]
     pub fn alarms(&self) -> &[CoverageAlarm] {
-        &self.alarms
+        &self.alarms[self.alarms.len().saturating_sub(self.alarm_log_len)..]
     }
 
     /// Point-in-time report of the serving session.

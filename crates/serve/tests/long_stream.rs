@@ -110,3 +110,50 @@ fn sustained_shift_is_one_alarm_incident_not_one_per_wafer() {
         "first alarm on the first full window"
     );
 }
+
+#[test]
+fn flapping_coverage_keeps_the_alarm_log_bounded_and_the_count_exact() {
+    let config = SelectiveConfig::for_grid(GRID).with_conv_channels([2, 2, 2]).with_fc(8);
+    let bundle = CheckpointBundle::export(&mut SelectiveModel::new(&config, 7));
+    // Probe the three cycled wafers' selection scores, then pick a
+    // threshold that selects only the highest-scoring one: coverage
+    // follows the period-3 pattern 1, 0, 0, 1, 0, 0, …
+    let mut probe = Engine::from_bundle(&bundle, ServeConfig::default()).expect("valid bundle");
+    let mut scores: Vec<f32> = probe
+        .submit(&workload(3))
+        .expect("grid matches")
+        .iter()
+        .map(|d| d.selection_score)
+        .collect();
+    scores.sort_by(f32::total_cmp);
+    assert!(scores[1] < scores[2], "probe wafers need distinct top scores: {scores:?}");
+    let threshold = scores[1] + (scores[2] - scores[1]) / 2.0;
+    // A 4-wafer window then holds one or two selections, so rolling
+    // coverage alternates between 0.25 and 0.5 around the 0.4 line and
+    // every third wafer opens a new incident.
+    let monitor_window = 4;
+    let mut engine = Engine::from_bundle(
+        &bundle,
+        ServeConfig {
+            threshold,
+            monitor_window,
+            target_coverage: 0.8,
+            alarm_fraction: 0.5,
+            stats_window: WINDOW,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("valid bundle");
+    let wafers = 200 * monitor_window;
+    let mut raised = Vec::new();
+    for chunk in workload(wafers).chunks(64) {
+        let decisions = engine.submit(chunk).expect("grid matches");
+        raised.extend(decisions.iter().filter_map(|d| d.alarm));
+    }
+    let report = engine.report();
+    assert!(raised.len() > 10 * WINDOW, "the stream must flap: {} incidents", raised.len());
+    assert_eq!(report.alarms, raised.len() as u64, "the counter counts every incident");
+    assert!(engine.alarms().len() <= WINDOW, "alarm log grew past stats_window");
+    assert_eq!(engine.alarms(), &raised[raised.len() - WINDOW..], "the most recent are kept");
+    assert_eq!(report.last_alarm, raised.last().copied());
+}
