@@ -6,9 +6,9 @@
 //! failure reproduces from nothing but the seed printed in the report:
 //!
 //! - **Corruption sweep** — every structurally distinct byte region
-//!   ([`faultsim::byte_classes`]) of every durable artifact
-//!   (`StateDict`, `Checkpoint`, `CheckpointBundle`) is truncated and
-//!   bit-flipped; each corrupted copy must load as a *typed*
+//!   ([`faultsim::byte_classes`]) of the one durable artifact, the
+//!   `CheckpointBundle`, is truncated and bit-flipped; each corrupted
+//!   copy must load as a *typed*
 //!   [`selective::LoadError`] — never a panic, never a silently wrong
 //!   value. Loads run under `catch_unwind` and the report counts
 //!   panics (acceptance: zero).
@@ -37,7 +37,6 @@ use std::time::Duration;
 
 use faultsim::{byte_classes, flip_bit_at, truncate_at, FaultPlan, SimClock};
 use nn::pool;
-use nn::serialize::{Checkpoint, StateDict};
 use nn::simd;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -188,29 +187,13 @@ fn sweep_artifact(
 }
 
 fn corruption_sweep(dir: &Path, bundle: &CheckpointBundle, seed: u64) -> CorruptionSummary {
-    // Pristine copies of all three durable artifacts.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut net = nn::Sequential::new()
-        .with(nn::layers::Linear::new(8, 4, &mut rng))
-        .with(nn::layers::Relu::new());
-    let state = StateDict::capture(&mut net);
-    let state_path = dir.join("pristine_state.json");
-    state.save(&state_path).expect("save state dict");
-    let ckpt_path = dir.join("pristine_ckpt.json");
-    Checkpoint::new(state).save(&ckpt_path).expect("save checkpoint");
     let bundle_path = dir.join("pristine_bundle.json");
     bundle.save(&bundle_path).expect("save bundle");
 
     let mut plan = FaultPlan::new(seed);
     let mut details = Vec::new();
-    let state_load: &dyn Fn(&Path) -> Option<&'static str> =
-        &|p| StateDict::load(p).err().as_ref().map(variant_name);
-    let ckpt_load: &dyn Fn(&Path) -> Option<&'static str> =
-        &|p| Checkpoint::load(p).err().as_ref().map(variant_name);
     let bundle_load: &dyn Fn(&Path) -> Option<&'static str> =
         &|p| CheckpointBundle::load(p).err().as_ref().map(variant_name);
-    sweep_artifact(dir, "state_dict", &state_path, state_load, &mut plan, &mut details);
-    sweep_artifact(dir, "checkpoint", &ckpt_path, ckpt_load, &mut plan, &mut details);
     sweep_artifact(dir, "bundle", &bundle_path, bundle_load, &mut plan, &mut details);
 
     let mut by_variant: Vec<(String, u64)> = Vec::new();
@@ -455,8 +438,8 @@ fn main() {
     assert!(degradation.decisions_invariant, "shed decisions must be bit-identical");
 
     let report = Report {
-        description: "deterministic chaos harness: byte-class corruption sweep over all \
-                      durable artifacts (typed errors, zero panics), generation-chain \
+        description: "deterministic chaos harness: byte-class corruption sweep over the \
+                      checkpoint bundle (typed errors, zero panics), generation-chain \
                       fallback recovery (100% with any intact generation), and degraded \
                       serving under SimClock deadline + queue cap + poisoned inputs \
                       (balanced shed ledger, decisions bit-identical across pool width \

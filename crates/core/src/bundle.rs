@@ -1,11 +1,12 @@
 //! Train-to-serve checkpoint bundles.
 //!
-//! A [`CheckpointBundle`] is the single on-disk artifact connecting
-//! training to serving: it pairs the low-level [`nn::serialize::Checkpoint`]
-//! (parameter state dict + Adam optimizer state) with the model
-//! architecture ([`SelectiveConfig`]) and, when produced mid-training,
-//! a [`TrainProgress`] record that lets [`crate::Trainer::resume`]
-//! continue **bit-identically** to an uninterrupted run.
+//! A [`CheckpointBundle`] is the one on-disk artifact connecting
+//! training to serving. Every bundle holds the model architecture
+//! ([`SelectiveConfig`]) and the parameter values
+//! ([`StateDict`]) — all that serving reads. A bundle captured
+//! mid-training also holds a [`ResumeState`], which lets
+//! [`crate::Trainer::resume`] continue **bit-identically** to an
+//! uninterrupted run.
 //!
 //! # Exact-resume guarantee
 //!
@@ -14,19 +15,22 @@
 //! weights and [`crate::TrainReport`] of a straight run, because the
 //! bundle carries everything the trainer consumes:
 //!
-//! - parameter values, gradients, and per-parameter Adam moments
-//!   (the state dict),
-//! - the Adam step counter `t` driving bias correction, plus the
-//!   optimizer hyper-parameters for validation ([`AdamState`]),
+//! - the parameter values (the state dict),
+//! - the Adam step counter `t` driving bias correction, both moment
+//!   buffers, and the optimizer hyper-parameters for validation
+//!   ([`AdamState`]),
 //! - the training config and the number of completed epochs, from
 //!   which the resume replays the epoch shuffles to fast-forward the
 //!   data-ordering RNG to the same state.
+//!
+//! Gradients are not stored: every training step zeroes them before
+//! `backward`.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 use nn::optim::{AdamState, StateError};
-use nn::serialize::{Checkpoint, LoadError, RestoreError, StateDict};
+use nn::serialize::{LoadError, RestoreError, StateDict};
 use serde::{Deserialize, Serialize};
 
 use crate::{EpochStats, SelectiveConfig, SelectiveModel, TrainConfig};
@@ -34,9 +38,13 @@ use crate::{EpochStats, SelectiveConfig, SelectiveModel, TrainConfig};
 /// Current on-disk format version written by [`CheckpointBundle::save`].
 ///
 /// Version history:
-/// - **1** — initial format: model architecture + versioned parameter /
-///   optimizer checkpoint + optional training progress.
-pub const BUNDLE_FORMAT_VERSION: u32 = 1;
+/// - **1** — model architecture + a nested versioned checkpoint (every
+///   parameter's value, gradient and Adam moments, plus optional
+///   optimizer state) + optional training progress. No longer read.
+/// - **2** — model architecture + parameter values + optional
+///   [`ResumeState`] (optimizer state with its moments, and training
+///   progress).
+pub const BUNDLE_FORMAT_VERSION: u32 = 2;
 
 /// How far a training run had progressed when its bundle was written.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -51,32 +59,38 @@ pub struct TrainProgress {
     pub epochs: Vec<EpochStats>,
 }
 
+/// The training state a bundle captured mid-training carries on top of
+/// the parameter values: exactly what [`crate::Trainer::resume`]
+/// consumes.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ResumeState {
+    /// Adam's step counter, hyper-parameters and moments.
+    pub optimizer: AdamState,
+    /// How far the run had progressed.
+    pub progress: TrainProgress,
+}
+
 /// Versioned artifact bundling everything needed to rebuild a
-/// [`SelectiveModel`] — and, when training progress is attached, to
+/// [`SelectiveModel`] — and, when a [`ResumeState`] is attached, to
 /// resume training exactly.
-///
-/// Resuming from a bundle written by [`crate::Trainer::run_to_checkpoint`]
-/// reproduces a straight run exactly: the bundle carries the parameter
-/// values, gradients and Adam moments, the Adam step counter, the
-/// training config and the completed epoch count.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CheckpointBundle {
     format_version: u32,
     model: SelectiveConfig,
-    checkpoint: Checkpoint,
-    progress: Option<TrainProgress>,
+    params: StateDict,
+    resume: Option<ResumeState>,
 }
 
 impl CheckpointBundle {
-    /// Snapshot `model` for inference-only use (no optimizer state, no
-    /// training progress) — e.g. a final export for the serving layer.
+    /// Snapshot `model` for inference-only use (architecture and
+    /// parameter values) — e.g. a final export for the serving layer.
     #[must_use]
     pub fn export(model: &mut SelectiveModel) -> Self {
         CheckpointBundle {
             format_version: BUNDLE_FORMAT_VERSION,
             model: *model.config(),
-            checkpoint: Checkpoint::new(model.state_dict()),
-            progress: None,
+            params: model.state_dict(),
+            resume: None,
         }
     }
 
@@ -89,10 +103,8 @@ impl CheckpointBundle {
         progress: TrainProgress,
     ) -> Self {
         CheckpointBundle {
-            format_version: BUNDLE_FORMAT_VERSION,
-            model: *model.config(),
-            checkpoint: Checkpoint::new(model.state_dict()).with_optimizer(optimizer),
-            progress: Some(progress),
+            resume: Some(ResumeState { optimizer, progress }),
+            ..CheckpointBundle::export(model)
         }
     }
 
@@ -108,22 +120,17 @@ impl CheckpointBundle {
         &self.model
     }
 
-    /// The low-level parameter/optimizer checkpoint.
-    #[must_use]
-    pub fn checkpoint(&self) -> &Checkpoint {
-        &self.checkpoint
-    }
-
-    /// The bundled parameter snapshot.
+    /// The bundled parameter values.
     #[must_use]
     pub fn params(&self) -> &StateDict {
-        self.checkpoint.params()
+        &self.params
     }
 
-    /// Training progress, if the bundle was captured mid-training.
+    /// Optimizer state and progress, if the bundle was captured
+    /// mid-training.
     #[must_use]
-    pub fn progress(&self) -> Option<&TrainProgress> {
-        self.progress.as_ref()
+    pub fn resume(&self) -> Option<&ResumeState> {
+        self.resume.as_ref()
     }
 
     /// Rebuild the bundled model: construct the architecture from the
@@ -135,7 +142,7 @@ impl CheckpointBundle {
     /// match the stored architecture (a corrupted bundle).
     pub fn build_model(&self) -> Result<SelectiveModel, BundleError> {
         let mut model = SelectiveModel::new(&self.model, 0);
-        model.load_state_dict(self.checkpoint.params()).map_err(BundleError::Restore)?;
+        model.load_state_dict(&self.params).map_err(BundleError::Restore)?;
         Ok(model)
     }
 
@@ -151,8 +158,7 @@ impl CheckpointBundle {
         nn::serialize::save_json_container(path, self)
     }
 
-    /// Deserialize from a file written by [`CheckpointBundle::save`] —
-    /// either a checksummed v2 container or a bare v1 JSON file —
+    /// Deserialize from a file written by [`CheckpointBundle::save`],
     /// rejecting unknown format versions.
     ///
     /// # Errors
@@ -162,7 +168,7 @@ impl CheckpointBundle {
     /// parse failure — garbage on disk is never misparsed into a
     /// bundle and never a panic.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, LoadError> {
-        let (bundle, _version): (CheckpointBundle, u32) = nn::serialize::load_json_container(path)?;
+        let bundle: CheckpointBundle = nn::serialize::load_json_container(path)?;
         if bundle.format_version != BUNDLE_FORMAT_VERSION {
             return Err(LoadError::UnsupportedVersion {
                 found: bundle.format_version,
@@ -253,15 +259,14 @@ impl std::error::Error for FallbackExhausted {}
 /// Error consuming a [`CheckpointBundle`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum BundleError {
-    /// The bundle's state dict does not fit the target architecture.
+    /// The bundle's parameter values or optimizer moments do not fit
+    /// the target architecture.
     Restore(RestoreError),
     /// The bundled optimizer hyper-parameters are invalid.
     Optimizer(StateError),
-    /// The bundle carries no optimizer state (inference-only export),
-    /// so training cannot resume from it.
-    MissingOptimizer,
-    /// The bundle carries no training progress (inference-only export).
-    MissingProgress,
+    /// The bundle carries no [`ResumeState`] (an inference-only
+    /// export), so training cannot resume from it.
+    NotResumable,
     /// The resuming trainer's configuration differs from the one the
     /// bundle was trained with, so the replayed schedule would diverge.
     ConfigMismatch {
@@ -284,11 +289,8 @@ impl fmt::Display for BundleError {
         match self {
             BundleError::Restore(e) => write!(f, "bundle does not fit model: {e}"),
             BundleError::Optimizer(e) => write!(f, "invalid bundled optimizer state: {e}"),
-            BundleError::MissingOptimizer => {
-                write!(f, "bundle has no optimizer state; cannot resume training")
-            }
-            BundleError::MissingProgress => {
-                write!(f, "bundle has no training progress; cannot resume training")
+            BundleError::NotResumable => {
+                write!(f, "bundle is an inference-only export; cannot resume training")
             }
             BundleError::ConfigMismatch { bundle, trainer } => {
                 write!(f, "training config mismatch: bundle {bundle:?} vs trainer {trainer:?}")
@@ -324,8 +326,7 @@ mod tests {
         let mut model = tiny_model(11);
         let bundle = CheckpointBundle::export(&mut model);
         assert_eq!(bundle.format_version(), BUNDLE_FORMAT_VERSION);
-        assert!(bundle.progress().is_none());
-        assert!(bundle.checkpoint().optimizer().is_none());
+        assert!(bundle.resume().is_none());
         let mut rebuilt = bundle.build_model().expect("architecture matches");
         assert_eq!(rebuilt.state_dict(), model.state_dict());
     }
@@ -356,20 +357,6 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         assert!(matches!(err, LoadError::UnsupportedVersion { supported, .. }
             if supported == BUNDLE_FORMAT_VERSION));
-    }
-
-    #[test]
-    fn legacy_v1_json_bundle_still_loads() {
-        let mut model = tiny_model(15);
-        let bundle = CheckpointBundle::export(&mut model);
-        let dir = std::env::temp_dir().join("core_bundle_v1_test");
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let path = dir.join("legacy.json");
-        // The pre-container on-disk format: bare JSON, no header.
-        std::fs::write(&path, serde_json::to_string(&bundle).expect("serialize")).expect("write");
-        let loaded = CheckpointBundle::load(&path).expect("v1 bundle must still load");
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(loaded, bundle);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod monitor;
 pub mod sweep;
 
 pub use bundle::{
-    BundleError, CheckpointBundle, FallbackExhausted, FallbackLoad, TrainProgress,
+    BundleError, CheckpointBundle, FallbackExhausted, FallbackLoad, ResumeState, TrainProgress,
     BUNDLE_FORMAT_VERSION,
 };
 pub use config::SelectiveConfig;

@@ -215,25 +215,6 @@ impl SelectiveModel {
     /// Panics if the input shape does not match the configuration.
     #[must_use]
     pub fn infer_predict(&self, images: &Tensor, threshold: f32) -> Vec<SelectivePrediction> {
-        self.infer_predict_timed(images, threshold).0
-    }
-
-    /// [`SelectiveModel::infer_predict`] plus per-wafer **compute**
-    /// seconds: entry `i` of the second vector is the amortized model
-    /// cost of sample `i` — its compute block's wall clock divided by
-    /// the block size — excluding any wait for pool scheduling or for
-    /// the rest of the micro-batch. The serving layer reports these
-    /// alongside full queue+compute completion latencies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input shape does not match the configuration.
-    #[must_use]
-    pub fn infer_predict_timed(
-        &self,
-        images: &Tensor,
-        threshold: f32,
-    ) -> (Vec<SelectivePrediction>, Vec<f64>) {
         let shape = images.shape();
         assert_eq!(
             shape,
@@ -246,14 +227,23 @@ impl SelectiveModel {
         self.infer_blocks(shape[0], threshold, |i, image| {
             image.copy_from_slice(&data[i * pixels..(i + 1) * pixels]);
         })
+        .0
     }
 
-    /// The block-major loop behind every inference entry point: sample
-    /// `i` of `0..n` is written into its block's per-worker staging
-    /// tensor by `stage(i, image)`, so callers never stage more than a
-    /// block per worker. Returns predictions and per-wafer compute
-    /// seconds as [`SelectiveModel::infer_predict_timed`] documents.
-    fn infer_blocks(
+    /// The block-major loop behind every inference entry point, for
+    /// callers that hold their samples in some other form than one
+    /// batch tensor: `stage(i, image)` writes sample `i` of `0..n` (a
+    /// `grid × grid` image) straight into its block's per-worker
+    /// staging tensor, so no caller stages more than a block per
+    /// worker. Predictions are those of
+    /// [`SelectiveModel::infer_predict`].
+    ///
+    /// The second vector holds per-wafer **compute** seconds: entry `i`
+    /// is the amortized model cost of sample `i` — its compute block's
+    /// wall clock divided by the block size — excluding any wait for
+    /// pool scheduling or for the rest of the batch. The serving layer
+    /// reports these alongside full queue+compute completion latencies.
+    pub fn infer_blocks(
         &self,
         n: usize,
         threshold: f32,
@@ -352,7 +342,7 @@ impl SelectiveModel {
         self.infer_dataset(dataset, 0.0).into_iter().map(|p| p.selection_score).collect()
     }
 
-    /// Snapshot all parameters (including optimizer moments).
+    /// Snapshot all parameter values.
     #[must_use]
     pub fn state_dict(&mut self) -> StateDict {
         StateDict::capture(&mut ParamChain(self))
@@ -372,8 +362,10 @@ impl SelectiveModel {
 }
 
 /// Adapter exposing the model's three (or four) parameter sub-trees
-/// as one [`Layer`] for capture/restore in a stable order.
-struct ParamChain<'a>(&'a mut SelectiveModel);
+/// as one [`Layer`] in a stable order — the order
+/// [`SelectiveModel::step`] visits them, so it also indexes the Adam
+/// moments.
+pub(crate) struct ParamChain<'a>(pub(crate) &'a mut SelectiveModel);
 
 impl std::fmt::Debug for ParamChain<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 use telemetry::Registry;
 
 use crate::bundle::{BundleError, CheckpointBundle, TrainProgress};
+use crate::model::ParamChain;
 use crate::{SelectiveLoss, SelectiveModel, SelectiveScratch};
 use wafermap::Dataset;
 
@@ -230,20 +231,20 @@ impl Trainer {
     /// epochs. With the same dataset and an equal [`TrainConfig`], the
     /// final weights and the returned [`TrainReport`] are
     /// **bit-identical** to an uninterrupted [`Trainer::run`]: the
-    /// bundle restores every parameter (values, gradients, Adam
-    /// moments), the Adam step counter, and the resume replays the
-    /// completed epochs' shuffles to fast-forward the data-ordering
-    /// RNG.
+    /// bundle restores every parameter value, the Adam moments and step
+    /// counter, and the resume replays the completed epochs' shuffles
+    /// to fast-forward the data-ordering RNG.
     ///
     /// `model` may be freshly constructed; its parameters are
     /// overwritten from the bundle.
     ///
     /// # Errors
     ///
-    /// Returns a [`BundleError`] when the bundle lacks optimizer state
-    /// or progress (inference-only export), was trained under a
-    /// different config, targets a different architecture, or is
-    /// internally corrupted.
+    /// Returns a [`BundleError`] when the bundle is an inference-only
+    /// export, was trained under a different config, targets a
+    /// different architecture, or is internally corrupted — including
+    /// optimizer moments whose count or shapes do not match the model
+    /// ([`BundleError::Restore`]). Every check runs before training.
     ///
     /// # Panics
     ///
@@ -255,7 +256,8 @@ impl Trainer {
         bundle: &CheckpointBundle,
     ) -> Result<TrainReport, BundleError> {
         self.check_inputs(model, dataset);
-        let progress = bundle.progress().ok_or(BundleError::MissingProgress)?.clone();
+        let resume = bundle.resume().ok_or(BundleError::NotResumable)?;
+        let progress = &resume.progress;
         if progress.config != self.config {
             return Err(BundleError::ConfigMismatch {
                 bundle: Box::new(progress.config),
@@ -268,8 +270,8 @@ impl Trainer {
                 model: Box::new(*model.config()),
             });
         }
-        let state = bundle.checkpoint().optimizer().ok_or(BundleError::MissingOptimizer)?;
-        let mut adam = Adam::from_state(state).map_err(BundleError::Optimizer)?;
+        let mut adam = Adam::from_state(&resume.optimizer).map_err(BundleError::Optimizer)?;
+        adam.check_moments(&mut ParamChain(model)).map_err(BundleError::Restore)?;
         model.load_state_dict(bundle.params()).map_err(BundleError::Restore)?;
         // Fast-forward the data-ordering RNG: replay the shuffles of
         // the completed epochs on the evolving order vector, exactly as
@@ -279,7 +281,7 @@ impl Trainer {
         for _ in 0..progress.next_epoch {
             order.shuffle(&mut rng);
         }
-        let mut epochs = progress.epochs;
+        let mut epochs = progress.epochs.clone();
         epochs.extend(self.epoch_span(
             model,
             dataset,

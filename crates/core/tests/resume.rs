@@ -7,6 +7,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use nn::Tensor;
 use selective::{
     BundleError, CheckpointBundle, SelectiveConfig, SelectiveModel, TrainConfig, Trainer,
 };
@@ -79,8 +80,9 @@ fn checkpoint_then_resume_is_bit_identical_to_straight_run() {
 #[test]
 fn resume_without_step_counter_would_diverge() {
     // Non-vacuity check for the test above: resuming the same weights
-    // with a *fresh* optimizer (the old, buggy behaviour — moments kept
-    // via the state dict but `t` reset) produces different weights.
+    // with a *fresh* optimizer (the old, buggy behaviour — `t` reset,
+    // and here the moments restart at zero too) produces different
+    // weights.
     let dataset = small_dataset(6, 5);
     let cfg = train_config(4);
 
@@ -131,6 +133,45 @@ fn resume_validates_bundle_compatibility() {
     let mut fresh2 = SelectiveModel::new(&tiny_config(), 4);
     assert!(matches!(
         Trainer::new(cfg).resume(&mut fresh2, &dataset, &export),
-        Err(BundleError::MissingProgress)
+        Err(BundleError::NotResumable)
     ));
+}
+
+/// A bundle can be well-formed — it survives the serde round trip
+/// through a file — and still carry optimizer moments that do not fit
+/// the model. Resuming from it must fail before training, not let
+/// Adam update a shortened moment and silently skip the tail of the
+/// parameter.
+#[test]
+fn resume_rejects_moments_that_do_not_fit_the_model() {
+    let dataset = small_dataset(4, 11);
+    let cfg = train_config(3);
+    let mut model = SelectiveModel::new(&tiny_config(), 5);
+    let (_, bundle) = Trainer::new(cfg).run_to_checkpoint(&mut model, &dataset, 1);
+    let resume = bundle.resume().expect("captured mid-training");
+    let dir = std::env::temp_dir().join("core_resume_moments_test");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let path = dir.join(format!("bundle_{}.json", std::process::id()));
+
+    let mut shortened = resume.optimizer.clone();
+    let first = &shortened.m[0];
+    let keep = first.numel() - 1;
+    shortened.m[0] = Tensor::from_vec(first.data()[..keep].to_vec(), &[keep]);
+    let mut dropped = resume.optimizer.clone();
+    dropped.v.pop();
+    for (what, state) in [("shortened m", shortened), ("missing v", dropped)] {
+        CheckpointBundle::capture(&mut model, state, resume.progress.clone())
+            .save(&path)
+            .expect("save");
+        let loaded = CheckpointBundle::load(&path).expect("well-formed bundle loads");
+        let mut fresh = SelectiveModel::new(&tiny_config(), 6);
+        assert!(
+            matches!(
+                Trainer::new(cfg).resume(&mut fresh, &dataset, &loaded),
+                Err(BundleError::Restore(_))
+            ),
+            "{what}: resume must refuse moments that do not fit the model"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
 }

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{Layer, Tensor};
 
 /// Rectified linear unit: `y = max(0, x)`, applied elementwise.
@@ -13,9 +11,8 @@ use crate::{Layer, Tensor};
 /// let y = relu.forward(&Tensor::from_vec(vec![-1.0, 2.0], &[2]));
 /// assert_eq!(y.data(), &[0.0, 2.0]);
 /// ```
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct Relu {
-    #[serde(skip)]
     mask: Option<Vec<bool>>,
 }
 
@@ -63,9 +60,8 @@ impl Layer for Relu {
 /// let y = s.forward(&Tensor::from_vec(vec![0.0], &[1]));
 /// assert_eq!(y.data(), &[0.5]);
 /// ```
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct Sigmoid {
-    #[serde(skip)]
     output: Option<Tensor>,
 }
 

@@ -1,7 +1,6 @@
 use std::cell::RefCell;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::gemm::{sgemm, sgemm_nt, sgemm_tn};
 use crate::pool::{self, Shards};
@@ -25,7 +24,7 @@ use crate::{init, workspace, Layer, Param, Tensor};
 /// let y = conv.forward(&Tensor::zeros(&[2, 1, 16, 16]));
 /// assert_eq!(y.shape(), &[2, 8, 16, 16]);
 /// ```
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Conv2d {
     in_channels: usize,
     out_channels: usize,
@@ -34,9 +33,7 @@ pub struct Conv2d {
     /// Weight stored `[C_out, C_in * k * k]` for direct GEMM use.
     weight: Param,
     bias: Param,
-    #[serde(skip)]
     cache: Option<ConvCache>,
-    #[serde(skip)]
     scratch: ConvScratch,
 }
 

@@ -1,5 +1,4 @@
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::gemm::{sgemm, sgemm_nt, sgemm_tn};
 use crate::{init, Layer, Param, Tensor};
@@ -17,13 +16,12 @@ use crate::{init, Layer, Param, Tensor};
 /// let y = fc.forward(&Tensor::zeros(&[2, 8]));
 /// assert_eq!(y.shape(), &[2, 4]);
 /// ```
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Linear {
     in_features: usize,
     out_features: usize,
     weight: Param,
     bias: Param,
-    #[serde(skip)]
     cached_input: Option<Tensor>,
 }
 

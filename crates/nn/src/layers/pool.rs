@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{Layer, Tensor};
 
 /// Max pooling with square window and stride equal to the window size
@@ -19,10 +17,9 @@ use crate::{Layer, Tensor};
 /// assert_eq!(y.shape(), &[1, 1, 1, 1]);
 /// assert_eq!(y.data(), &[4.0]);
 /// ```
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct MaxPool2d {
     window: usize,
-    #[serde(skip)]
     cache: Option<PoolCache>,
 }
 

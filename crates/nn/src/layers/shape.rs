@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{Layer, Tensor};
 
 /// Flatten `[N, ...]` to `[N, prod(...)]`, bridging convolutional and
@@ -14,9 +12,8 @@ use crate::{Layer, Tensor};
 /// let y = flat.forward(&Tensor::zeros(&[2, 3, 4, 4]));
 /// assert_eq!(y.shape(), &[2, 48]);
 /// ```
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct Flatten {
-    #[serde(skip)]
     input_shape: Option<Vec<usize>>,
 }
 

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{Layer, Tensor};
 
 /// Nearest-neighbour upsampling by an integer factor.
@@ -18,10 +16,9 @@ use crate::{Layer, Tensor};
 /// assert_eq!(y.shape(), &[1, 1, 2, 2]);
 /// assert_eq!(y.data(), &[1.0, 1.0, 1.0, 1.0]);
 /// ```
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Upsample2d {
     factor: usize,
-    #[serde(skip)]
     input_shape: Option<[usize; 4]>,
 }
 

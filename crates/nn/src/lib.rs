@@ -6,14 +6,17 @@
 //! max-pool, upsample and linear layers with **manual
 //! backpropagation**, ReLU/sigmoid activations, fused softmax
 //! cross-entropy and MSE losses, He initialization, and the Adam
-//! optimizer. Weights serialize with `serde` for checkpointing.
+//! optimizer. Parameter values ([`serialize::StateDict`]) and Adam
+//! state ([`optim::AdamState`]) serialize with `serde` for
+//! checkpointing.
 //!
 //! The design follows a classic layer-object architecture: each
 //! [`Layer`] computes its output in one place, [`Layer::infer`];
 //! `forward` runs that same computation and also caches whatever
 //! `backward` consumes. Each layer owns its [`Param`]s (value +
-//! gradient + Adam moments). A [`Sequential`] container chains layers;
-//! multi-head models (like SelectiveNet) compose layers manually.
+//! gradient); the optimizer owns its moments. A [`Sequential`]
+//! container chains layers; multi-head models (like SelectiveNet)
+//! compose layers manually.
 //!
 //! # Example
 //!

@@ -1,21 +1,26 @@
 //! First-order optimizers operating on [`Layer`] parameter trees.
 //!
-//! Optimizer moment buffers live inside each [`crate::Param`], so an
-//! optimizer holds only hyper-parameters and a step counter and can be
-//! applied to any set of layers — including multi-head models passed
-//! as several disjoint layers via [`Adam::step_multi`].
+//! [`Adam`] owns its moment buffers: one first/second-moment pair per
+//! parameter, in [`Layer::visit_params`] order across the layers of a
+//! step, so an optimizer can be applied to any set of layers —
+//! including multi-head models passed as several disjoint layers via
+//! [`Adam::step_multi`]. Parameters carry only their value and
+//! gradient.
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Layer, Param};
+use crate::serialize::{check_shapes, RestoreError};
+use crate::{Layer, Param, Tensor};
 
 /// Adam optimizer (Kingma & Ba) — the optimizer the paper trains with.
 ///
-/// Moments are stored in each parameter's `m`/`v` buffers; the bias
-/// correction uses this optimizer's global step count, which increments
-/// once per [`Adam::step`]/[`Adam::step_multi`] call.
+/// The first and second moments are allocated (zeroed) on the first
+/// step, one tensor each per visited parameter; every later step must
+/// visit the same parameters in the same order. The bias correction
+/// uses this optimizer's global step count, which increments once per
+/// [`Adam::step`]/[`Adam::step_multi`] call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
     lr: f32,
@@ -23,6 +28,8 @@ pub struct Adam {
     beta2: f32,
     eps: f32,
     t: u64,
+    m: Vec<Tensor>,
+    v: Vec<Tensor>,
 }
 
 impl Adam {
@@ -34,7 +41,7 @@ impl Adam {
     #[must_use]
     pub fn new(lr: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0 }
+        Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
     }
 
     /// Override the exponential decay rates.
@@ -63,20 +70,25 @@ impl Adam {
     }
 
     /// Snapshot the optimizer's full state: the step counter `t` that
-    /// drives bias correction, plus the hyper-parameters for
-    /// validation on restore.
-    ///
-    /// Per-parameter moments live in each [`Param`] and are captured
-    /// by [`crate::serialize::StateDict`]; this covers everything
-    /// else, so the pair `(StateDict, AdamState)` resumes training
-    /// exactly.
+    /// drives bias correction, the hyper-parameters, and both moment
+    /// buffers. With the parameter values, this is everything a resumed
+    /// run needs to continue exactly.
     #[must_use]
     pub fn state(&self) -> AdamState {
-        AdamState { t: self.t, lr: self.lr, beta1: self.beta1, beta2: self.beta2, eps: self.eps }
+        AdamState {
+            t: self.t,
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            m: self.m.clone(),
+            v: self.v.clone(),
+        }
     }
 
     /// Rebuild an optimizer from a snapshot taken with
-    /// [`Adam::state`].
+    /// [`Adam::state`]. The moments are checked against a model by
+    /// [`Adam::check_moments`], not here.
     ///
     /// # Errors
     ///
@@ -98,7 +110,25 @@ impl Adam {
             beta2: state.beta2,
             eps: state.eps,
             t: state.t,
+            m: state.m.clone(),
+            v: state.v.clone(),
         })
+    }
+
+    /// Check that the moments fit the parameters of `layer`: either
+    /// none at all on an optimizer that has not stepped, or one first-
+    /// and one second-moment tensor per parameter, each shaped like it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RestoreError`] naming the first count or shape that
+    /// disagrees.
+    pub fn check_moments(&self, layer: &mut dyn Layer) -> Result<(), RestoreError> {
+        if self.t == 0 && self.m.is_empty() && self.v.is_empty() {
+            return Ok(());
+        }
+        check_shapes(layer, &self.m)?;
+        check_shapes(layer, &self.v)
     }
 
     /// Apply one update to every parameter of `layer`.
@@ -108,44 +138,58 @@ impl Adam {
 
     /// Apply one update across several disjoint layers, advancing the
     /// step counter once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a parameter's size differs from its moments — the
+    /// layers are not the ones this optimizer stepped before.
     pub fn step_multi(&mut self, layers: &mut [&mut dyn Layer]) {
         self.t += 1;
         let t = self.t as f32;
         let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
         let bc1 = 1.0 - b1.powf(t);
         let bc2 = 1.0 - b2.powf(t);
+        let (ms, vs) = (&mut self.m, &mut self.v);
+        let mut i = 0;
         for layer in layers {
             layer.visit_params(&mut |p: &mut Param| {
+                if i == ms.len() {
+                    ms.push(Tensor::zeros(p.value.shape()));
+                    vs.push(Tensor::zeros(p.value.shape()));
+                }
+                let (m, v) = (ms[i].data_mut(), vs[i].data_mut());
                 let grad = p.grad.data();
-                let m = p.m.data_mut();
+                assert!(
+                    m.len() == grad.len() && v.len() == grad.len(),
+                    "Adam moments of parameter {i} do not match its size"
+                );
                 for (mi, &gi) in m.iter_mut().zip(grad) {
                     *mi = b1 * *mi + (1.0 - b1) * gi;
                 }
-                let v = p.v.data_mut();
                 for (vi, &gi) in v.iter_mut().zip(grad) {
                     *vi = b2 * *vi + (1.0 - b2) * gi * gi;
                 }
                 let value = p.value.data_mut();
-                for ((wi, &mi), &vi) in value.iter_mut().zip(p.m.data()).zip(p.v.data()) {
+                for ((wi, &mi), &vi) in value.iter_mut().zip(&*m).zip(&*v) {
                     let m_hat = mi / bc1;
                     let v_hat = vi / bc2;
                     *wi -= lr * m_hat / (v_hat.sqrt() + eps);
                 }
+                i += 1;
             });
         }
     }
 }
 
-/// Serializable [`Adam`] state: the bias-correction step counter and
-/// the hyper-parameters it was configured with.
+/// Serializable [`Adam`] state: the bias-correction step counter, the
+/// hyper-parameters it was configured with, and the moment buffers.
 ///
-/// The step counter is the piece of optimizer state that does *not*
-/// live in the per-parameter moment buffers — dropping it from a
-/// checkpoint silently changes the bias correction `1 − βᵗ` after a
-/// resume, so resumed training diverges from an uninterrupted run.
-/// The hyper-parameters are carried alongside so a resume can verify
-/// the checkpoint matches the configured optimizer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Dropping the step counter from a checkpoint silently changes the
+/// bias correction `1 − βᵗ` after a resume, and dropping the moments
+/// restarts them at zero; either way resumed training diverges from an
+/// uninterrupted run. The hyper-parameters are carried alongside so a
+/// resume can verify the checkpoint matches the configured optimizer.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdamState {
     /// Steps taken so far (drives the bias correction).
     pub t: u64,
@@ -157,6 +201,12 @@ pub struct AdamState {
     pub beta2: f32,
     /// Denominator stabilizer.
     pub eps: f32,
+    /// First-moment estimates, one per parameter in visit order (empty
+    /// before the first step).
+    pub m: Vec<Tensor>,
+    /// Second-moment estimates, one per parameter in visit order
+    /// (empty before the first step).
+    pub v: Vec<Tensor>,
 }
 
 /// Error rebuilding an [`Adam`] from an invalid [`AdamState`].
@@ -286,18 +336,45 @@ mod tests {
         }
         let state = adam.state();
         assert_eq!(state.t, 3);
+        assert_eq!((state.m.len(), state.v.len()), (2, 2), "one moment pair per parameter");
         let restored = Adam::from_state(&state).expect("valid state");
         assert_eq!(restored, adam);
+    }
+
+    #[test]
+    fn check_moments_rejects_moments_of_another_model() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut net = Linear::new(3, 2, &mut rng);
+        assert_eq!(Adam::new(0.01).check_moments(&mut net), Ok(()), "fresh optimizer fits");
+        let mut adam = Adam::new(0.01);
+        adam.step(&mut net);
+        assert_eq!(adam.check_moments(&mut net), Ok(()));
+
+        let mut short = adam.state();
+        short.m.pop();
+        let short = Adam::from_state(&short).expect("valid hyper-parameters");
+        assert!(matches!(short.check_moments(&mut net), Err(RestoreError::CountMismatch { .. })));
+
+        let mut reshaped = adam.state();
+        reshaped.v[0] = Tensor::zeros(&[2, 2]);
+        let reshaped = Adam::from_state(&reshaped).expect("valid hyper-parameters");
+        assert!(matches!(
+            reshaped.check_moments(&mut net),
+            Err(RestoreError::ShapeMismatch { index: 0, .. })
+        ));
+
+        let mut wider = Linear::new(4, 2, &mut rng);
+        assert!(adam.check_moments(&mut wider).is_err());
     }
 
     #[test]
     fn from_state_rejects_corrupted_hyperparams() {
         let good = Adam::new(0.01).state();
         let cases = [
-            AdamState { lr: -1.0, ..good },
-            AdamState { lr: f32::NAN, ..good },
-            AdamState { beta1: 1.0, ..good },
-            AdamState { beta2: -0.1, ..good },
+            AdamState { lr: -1.0, ..good.clone() },
+            AdamState { lr: f32::NAN, ..good.clone() },
+            AdamState { beta1: 1.0, ..good.clone() },
+            AdamState { beta2: -0.1, ..good.clone() },
             AdamState { eps: 0.0, ..good },
         ];
         for bad in cases {

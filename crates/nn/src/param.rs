@@ -1,14 +1,10 @@
-use serde::{Deserialize, Serialize};
-
 use crate::Tensor;
 
-/// A trainable parameter: value, accumulated gradient, and the Adam
-/// first/second-moment buffers.
+/// A trainable parameter: its value and the gradient accumulated by
+/// `backward`.
 ///
-/// Keeping optimizer state inside the parameter (rather than keyed by
-/// parameter identity inside the optimizer) makes optimizers stateless
-/// apart from hyper-parameters and the step counter, and means
-/// serializing a model checkpoint also preserves optimizer momentum.
+/// Optimizer state is not kept here: [`crate::optim::Adam`] owns its
+/// moment buffers, indexed in [`crate::Layer::visit_params`] order.
 ///
 /// # Example
 ///
@@ -19,26 +15,20 @@ use crate::Tensor;
 /// p.grad.fill(1.0);
 /// assert_eq!(p.grad.sum(), 4.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     /// Current parameter value.
     pub value: Tensor,
     /// Accumulated gradient (same shape as `value`).
     pub grad: Tensor,
-    /// Adam first-moment estimate (same shape as `value`).
-    pub m: Tensor,
-    /// Adam second-moment estimate (same shape as `value`).
-    pub v: Tensor,
 }
 
 impl Param {
-    /// Wrap an initial value with zeroed gradient and moments.
+    /// Wrap an initial value with a zeroed gradient.
     #[must_use]
     pub fn new(value: Tensor) -> Self {
         let grad = Tensor::zeros(value.shape());
-        let m = Tensor::zeros(value.shape());
-        let v = Tensor::zeros(value.shape());
-        Param { value, grad, m, v }
+        Param { value, grad }
     }
 }
 
@@ -51,8 +41,6 @@ mod tests {
         let p = Param::new(Tensor::full(&[3], 5.0));
         assert_eq!(p.value.sum(), 15.0);
         assert_eq!(p.grad.sum(), 0.0);
-        assert_eq!(p.m.sum(), 0.0);
-        assert_eq!(p.v.sum(), 0.0);
         assert_eq!(p.grad.shape(), p.value.shape());
     }
 }

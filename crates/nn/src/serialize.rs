@@ -1,26 +1,22 @@
-//! Checkpointing: extract and restore parameter state for any
-//! [`Layer`] tree, with crash-safe on-disk persistence.
+//! Checkpointing building blocks: extract and restore parameter
+//! values for any [`Layer`] tree, and the crash-safe on-disk container
+//! every checkpoint is stored in.
 //!
 //! Layers are trait objects, so instead of serializing whole layers we
-//! serialize an ordered *state dict* of parameter tensors (values,
-//! gradients, and per-parameter Adam moments). Restoring walks the
-//! same parameter order and verifies shapes.
-//!
-//! A [`StateDict`] alone is **not** enough to resume training exactly:
-//! Adam's bias correction depends on the optimizer's global step
-//! counter `t`, which lives in [`crate::optim::Adam`], not in any
-//! parameter. [`Checkpoint`] is the versioned bundle that pairs a
-//! `StateDict` with an [`AdamState`] so a resumed run is bit-identical
-//! to an uninterrupted one.
+//! capture an ordered *state dict* of parameter values. Restoring walks
+//! the same parameter order and verifies shapes. Gradients are never
+//! stored (every training step zeroes them before `backward`), and the
+//! optimizer state a resume needs lives in
+//! [`crate::optim::AdamState`]. The one on-disk artifact that combines
+//! them is `selective::CheckpointBundle`.
 //!
 //! # On-disk container format (v2)
 //!
 //! Checkpoints are the long-lived asset a serving fleet trusts on
-//! disk, so every `save` in this module (and
-//! `selective::CheckpointBundle::save`) writes a self-validating
-//! container and goes through [`atomic_write`] — a crash at any
-//! instant leaves either the complete old file or the complete new
-//! file, never a torn hybrid:
+//! disk, so `selective::CheckpointBundle::save` writes a
+//! self-validating container through [`save_json_container`] and
+//! [`atomic_write`] — a crash at any instant leaves either the complete
+//! old file or the complete new file, never a torn hybrid:
 //!
 //! ```text
 //! offset  size  field
@@ -36,34 +32,24 @@
 //! every failure as a typed [`LoadError`] — [`LoadError::Truncated`],
 //! [`LoadError::ChecksumMismatch`], [`LoadError::UnsupportedVersion`],
 //! or [`LoadError::Malformed`] — never a panic and never a
-//! silently-wrong value. Files that do not begin with the magic are
-//! treated as **v1** (bare JSON, the pre-container format) and still
-//! load.
+//! silently-wrong value. A file that does not begin with the magic is
+//! [`LoadError::Malformed`].
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
-use crate::optim::AdamState;
 use crate::{Layer, Param, Tensor};
-
-/// Current on-disk format version written by [`Checkpoint::save`].
-///
-/// Version history:
-/// - **1** — initial versioned format: parameter state dict plus
-///   optional Adam optimizer state (step counter + hyper-parameters).
-///   Pre-versioned checkpoints (a bare `StateDict`, which lost the
-///   Adam step counter) are rejected on load.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 1;
 
 /// Magic bytes opening every v2 serialization container.
 pub const CONTAINER_MAGIC: [u8; 8] = *b"WMSERL2\0";
 
-/// Container layout version written by [`write_container`].
+/// Container layout version written by [`write_container`], and the
+/// only one [`read_container`] accepts.
 ///
 /// Version history:
-/// - **1** — (implicit) bare JSON with no header; still readable.
+/// - **1** — bare JSON with no header; no longer read.
 /// - **2** — magic + version + payload length + CRC32 header, written
 ///   atomically.
 pub const CONTAINER_FORMAT_VERSION: u32 = 2;
@@ -190,8 +176,8 @@ pub enum LoadError {
         /// CRC32 of the payload as read.
         found: u32,
     },
-    /// The container or inner format version is one this build does
-    /// not read.
+    /// The container layout version, or the schema version of the
+    /// artifact inside it, is one this build does not read.
     UnsupportedVersion {
         /// Version found in the file.
         found: u32,
@@ -241,17 +227,6 @@ impl std::error::Error for LoadError {}
 // Container read/write
 // ---------------------------------------------------------------------------
 
-/// Payload extracted from an on-disk serialization container, tagged
-/// with the container version it was stored under.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Container {
-    /// Container layout version: `1` for bare pre-container JSON
-    /// files, [`CONTAINER_FORMAT_VERSION`] for headered files.
-    pub version: u32,
-    /// The payload bytes (JSON of the serialized value).
-    pub payload: Vec<u8>,
-}
-
 /// Wrap `payload` in a v2 container (magic, version, length, CRC32)
 /// and write it to `path` through [`atomic_write`].
 ///
@@ -268,9 +243,8 @@ pub fn write_container<P: AsRef<Path>>(path: P, payload: &[u8]) -> std::io::Resu
     atomic_write(path, &bytes)
 }
 
-/// Read and structurally validate a serialization container written by
-/// [`write_container`], or fall back to treating the whole file as a
-/// v1 (bare JSON) payload when the magic is absent.
+/// Read a serialization container written by [`write_container`] and
+/// return its payload (the JSON of the serialized value).
 ///
 /// Validation order: magic → container version → declared length →
 /// checksum. The payload is returned only once every check passes, so
@@ -279,26 +253,18 @@ pub fn write_container<P: AsRef<Path>>(path: P, payload: &[u8]) -> std::io::Resu
 /// # Errors
 ///
 /// [`LoadError::Io`] for filesystem failures, [`LoadError::Truncated`]
-/// when the file ends early (including mid-magic), and
+/// when the file ends early (including mid-magic),
+/// [`LoadError::Malformed`] when it does not open with
+/// [`CONTAINER_MAGIC`] or runs past the declared payload, and
 /// [`LoadError::UnsupportedVersion`] / [`LoadError::ChecksumMismatch`]
-/// / [`LoadError::Malformed`] for the corresponding header violations.
-pub fn read_container<P: AsRef<Path>>(path: P) -> Result<Container, LoadError> {
-    let bytes = std::fs::read(path)?;
-    if bytes.len() < CONTAINER_MAGIC.len() {
-        // A prefix of the magic is a v2 file cut mid-header, not a
-        // v1 JSON file (no JSON document starts with "WMSER…"). The
-        // empty file is ambiguous; neither format accepts it, and
-        // "truncated" is the honest description.
-        if CONTAINER_MAGIC.starts_with(&bytes) {
-            return Err(LoadError::Truncated {
-                expected: CONTAINER_HEADER_LEN as u64,
-                found: bytes.len() as u64,
-            });
-        }
-        return Ok(Container { version: 1, payload: bytes });
-    }
-    if bytes[..CONTAINER_MAGIC.len()] != CONTAINER_MAGIC {
-        return Ok(Container { version: 1, payload: bytes });
+/// for the corresponding header violations.
+pub fn read_container<P: AsRef<Path>>(path: P) -> Result<Vec<u8>, LoadError> {
+    let mut bytes = std::fs::read(path)?;
+    // A prefix of the magic is a container cut mid-header; the empty
+    // file is one too.
+    let magic = bytes.len().min(CONTAINER_MAGIC.len());
+    if bytes[..magic] != CONTAINER_MAGIC[..magic] {
+        return Err(LoadError::Malformed("file does not start with the container magic".into()));
     }
     if bytes.len() < CONTAINER_HEADER_LEN {
         return Err(LoadError::Truncated {
@@ -325,18 +291,18 @@ pub fn read_container<P: AsRef<Path>>(path: P) -> Result<Container, LoadError> {
             found_total - expected_total
         )));
     }
-    let payload = &bytes[CONTAINER_HEADER_LEN..];
     let stored_crc = u32::from_le_bytes(bytes[20..24].try_into().expect("4 header bytes"));
-    let actual_crc = crc32(payload);
+    let actual_crc = crc32(&bytes[CONTAINER_HEADER_LEN..]);
     if stored_crc != actual_crc {
         return Err(LoadError::ChecksumMismatch { expected: stored_crc, found: actual_crc });
     }
-    Ok(Container { version: CONTAINER_FORMAT_VERSION, payload: payload.to_vec() })
+    bytes.drain(..CONTAINER_HEADER_LEN);
+    Ok(bytes)
 }
 
 /// Serialize `value` as JSON and write it to `path` inside a v2
-/// container, atomically. The shared save path of [`StateDict`],
-/// [`Checkpoint`], and `selective::CheckpointBundle`.
+/// container, atomically — the save path of
+/// `selective::CheckpointBundle`.
 ///
 /// # Errors
 ///
@@ -349,37 +315,54 @@ pub fn save_json_container<P: AsRef<Path>, T: Serialize + ?Sized>(
     write_container(path, json.as_bytes())
 }
 
-/// Load a JSON value from a v2 container (or a bare v1 JSON file) at
-/// `path` — the shared load path of [`StateDict`], [`Checkpoint`],
-/// and `selective::CheckpointBundle`. Returns the parsed value and
-/// the container version it was stored under.
+/// Load a JSON value from the v2 container at `path` — the load path
+/// of `selective::CheckpointBundle`.
 ///
 /// # Errors
 ///
 /// Every structural violation surfaces as the corresponding typed
-/// [`LoadError`]; payloads that clear the header checks but fail to
-/// parse are [`LoadError::Malformed`].
-pub fn load_json_container<P: AsRef<Path>, T: Deserialize>(path: P) -> Result<(T, u32), LoadError> {
-    let container = read_container(path)?;
-    let text = std::str::from_utf8(&container.payload)
+/// [`LoadError`] from [`read_container`]; payloads that clear the
+/// header checks but fail to parse are [`LoadError::Malformed`].
+pub fn load_json_container<P: AsRef<Path>, T: Deserialize>(path: P) -> Result<T, LoadError> {
+    let payload = read_container(path)?;
+    let text = std::str::from_utf8(&payload)
         .map_err(|e| LoadError::Malformed(format!("payload is not UTF-8: {e}")))?;
-    let value = serde_json::from_str(text).map_err(LoadError::malformed_json)?;
-    Ok((value, container.version))
+    serde_json::from_str(text).map_err(LoadError::malformed_json)
 }
 
-/// Ordered snapshot of every parameter in a layer tree.
+/// Check that `tensors` match the parameters of `layer` one for one,
+/// in count and in shape (visit order).
+pub(crate) fn check_shapes(layer: &mut dyn Layer, tensors: &[Tensor]) -> Result<(), RestoreError> {
+    let mut shapes: Vec<Vec<usize>> = Vec::new();
+    layer.visit_params(&mut |p: &mut Param| shapes.push(p.value.shape().to_vec()));
+    if shapes.len() != tensors.len() {
+        return Err(RestoreError::CountMismatch { expected: shapes.len(), found: tensors.len() });
+    }
+    for (index, (shape, tensor)) in shapes.into_iter().zip(tensors).enumerate() {
+        if shape != tensor.shape() {
+            return Err(RestoreError::ShapeMismatch {
+                index,
+                expected: shape,
+                found: tensor.shape().to_vec(),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Ordered snapshot of every parameter value in a layer tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StateDict {
-    entries: Vec<Param>,
+    entries: Vec<Tensor>,
 }
 
 impl StateDict {
-    /// Capture the current parameters (values, gradients and Adam
-    /// moments) of `layer` in visitation order.
+    /// Capture the current parameter values of `layer` in visitation
+    /// order.
     #[must_use]
     pub fn capture(layer: &mut dyn Layer) -> Self {
         let mut entries = Vec::new();
-        layer.visit_params(&mut |p: &mut Param| entries.push(p.clone()));
+        layer.visit_params(&mut |p: &mut Param| entries.push(p.value.clone()));
         StateDict { entries }
     }
 
@@ -395,163 +378,35 @@ impl StateDict {
         self.entries.is_empty()
     }
 
-    /// Restore this snapshot into `layer`.
+    /// Restore this snapshot's values into `layer`. Gradients are left
+    /// as they are.
     ///
     /// # Errors
     ///
     /// Returns [`RestoreError`] if the parameter count or any shape
-    /// does not match the target layer.
+    /// does not match the target layer; `layer` is then unchanged.
     pub fn restore(&self, layer: &mut dyn Layer) -> Result<(), RestoreError> {
-        // First pass: validate without mutating.
-        let mut shapes: Vec<Vec<usize>> = Vec::new();
-        layer.visit_params(&mut |p: &mut Param| shapes.push(p.value.shape().to_vec()));
-        if shapes.len() != self.entries.len() {
-            return Err(RestoreError::CountMismatch {
-                expected: shapes.len(),
-                found: self.entries.len(),
-            });
-        }
-        for (i, (shape, entry)) in shapes.iter().zip(&self.entries).enumerate() {
-            if shape.as_slice() != entry.value.shape() {
-                return Err(RestoreError::ShapeMismatch {
-                    index: i,
-                    expected: shape.clone(),
-                    found: entry.value.shape().to_vec(),
-                });
-            }
-        }
-        let mut i = 0;
+        check_shapes(layer, &self.entries)?;
+        let mut entries = self.entries.iter();
         layer.visit_params(&mut |p: &mut Param| {
-            *p = self.entries[i].clone();
-            i += 1;
+            p.value.data_mut().copy_from_slice(entries.next().expect("count checked").data());
         });
         Ok(())
     }
 
-    /// Serialize to a v2 container file via [`atomic_write`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation and serialization errors.
-    pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), std::io::Error> {
-        save_json_container(path, self)
-    }
-
-    /// Deserialize from a file written by [`StateDict::save`] — either
-    /// a v2 container or a bare v1 JSON file.
-    ///
-    /// # Errors
-    ///
-    /// Returns the typed [`LoadError`] classifying any truncation,
-    /// checksum mismatch, version skew, or parse failure.
-    pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, LoadError> {
-        let (dict, _version) = load_json_container(path)?;
-        Ok(dict)
-    }
-
-    /// Parameter values only (without optimizer state), useful for
-    /// inspecting checkpoints.
+    /// The parameter values, in visitation order.
     #[must_use]
     pub fn values(&self) -> Vec<&Tensor> {
-        self.entries.iter().map(|p| &p.value).collect()
+        self.entries.iter().collect()
     }
 }
 
-/// Versioned checkpoint bundle: parameter state plus the optimizer
-/// state a bit-exact training resume needs.
-///
-/// # Example
-///
-/// ```
-/// use nn::layers::Linear;
-/// use nn::optim::Adam;
-/// use nn::serialize::{Checkpoint, StateDict};
-/// use rand::{rngs::StdRng, SeedableRng};
-///
-/// let mut rng = StdRng::seed_from_u64(0);
-/// let mut net = Linear::new(4, 2, &mut rng);
-/// let mut adam = Adam::new(1e-3);
-/// adam.step(&mut net);
-///
-/// let ckpt = Checkpoint::new(StateDict::capture(&mut net)).with_optimizer(adam.state());
-/// let restored = Adam::from_state(ckpt.optimizer().unwrap()).unwrap();
-/// assert_eq!(restored.steps(), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Checkpoint {
-    format_version: u32,
-    params: StateDict,
-    optimizer: Option<AdamState>,
-}
-
-impl Checkpoint {
-    /// Bundle a parameter snapshot at the current format version,
-    /// without optimizer state (inference-only export).
-    #[must_use]
-    pub fn new(params: StateDict) -> Self {
-        Checkpoint { format_version: CHECKPOINT_FORMAT_VERSION, params, optimizer: None }
-    }
-
-    /// Attach optimizer state so training can resume exactly.
-    #[must_use]
-    pub fn with_optimizer(mut self, optimizer: AdamState) -> Self {
-        self.optimizer = Some(optimizer);
-        self
-    }
-
-    /// Format version this bundle was written with.
-    #[must_use]
-    pub fn format_version(&self) -> u32 {
-        self.format_version
-    }
-
-    /// The parameter snapshot.
-    #[must_use]
-    pub fn params(&self) -> &StateDict {
-        &self.params
-    }
-
-    /// The optimizer state, if this checkpoint carries one.
-    #[must_use]
-    pub fn optimizer(&self) -> Option<&AdamState> {
-        self.optimizer.as_ref()
-    }
-
-    /// Serialize to a v2 container file via [`atomic_write`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation and serialization errors.
-    pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), std::io::Error> {
-        save_json_container(path, self)
-    }
-
-    /// Deserialize from a file written by [`Checkpoint::save`] —
-    /// either a v2 container or a bare v1 JSON file — rejecting
-    /// unknown checkpoint format versions.
-    ///
-    /// # Errors
-    ///
-    /// Returns the typed [`LoadError`] classifying any truncation,
-    /// checksum mismatch, version skew (container or checkpoint), or
-    /// parse failure. A pre-versioned bare `StateDict` file carries no
-    /// `format_version` and is [`LoadError::Malformed`].
-    pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, LoadError> {
-        let (ckpt, _version): (Checkpoint, u32) = load_json_container(path)?;
-        if ckpt.format_version != CHECKPOINT_FORMAT_VERSION {
-            return Err(LoadError::UnsupportedVersion {
-                found: ckpt.format_version,
-                supported: CHECKPOINT_FORMAT_VERSION,
-            });
-        }
-        Ok(ckpt)
-    }
-}
-
-/// Error restoring a [`StateDict`] into an incompatible layer tree.
+/// Error restoring a [`StateDict`] (or checking optimizer moments)
+/// against an incompatible layer tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RestoreError {
-    /// The snapshot holds a different number of parameters.
+    /// The snapshot holds a different number of tensors than the layer
+    /// has parameters.
     CountMismatch {
         /// Parameters in the target layer.
         expected: usize,
@@ -573,12 +428,11 @@ impl fmt::Display for RestoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RestoreError::CountMismatch { expected, found } => {
-                write!(f, "state dict has {found} params, layer expects {expected}")
+                write!(f, "snapshot has {found} tensors, layer has {expected} params")
             }
-            RestoreError::ShapeMismatch { index, expected, found } => write!(
-                f,
-                "param {index} shape mismatch: layer {expected:?} vs state dict {found:?}"
-            ),
+            RestoreError::ShapeMismatch { index, expected, found } => {
+                write!(f, "param {index} shape mismatch: layer {expected:?} vs snapshot {found:?}")
+            }
         }
     }
 }
@@ -638,58 +492,10 @@ mod tests {
         let mut net = Sequential::new().with(Linear::new(3, 2, &mut rng));
         let snap = StateDict::capture(&mut net);
         let path = temp_path("nn_statedict_test", "ckpt.bin");
-        snap.save(&path).expect("save");
-        let loaded = StateDict::load(&path).expect("load");
+        save_json_container(&path, &snap).expect("save");
+        let loaded: StateDict = load_json_container(&path).expect("load");
         assert_eq!(snap, loaded);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn checkpoint_file_roundtrip_preserves_optimizer_state() {
-        use crate::optim::Adam;
-
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut net = Sequential::new().with(Linear::new(3, 2, &mut rng));
-        let mut adam = Adam::new(2e-3).with_betas(0.85, 0.99);
-        net.zero_grad();
-        adam.step(&mut net);
-        adam.step(&mut net);
-
-        let ckpt = Checkpoint::new(StateDict::capture(&mut net)).with_optimizer(adam.state());
-        let path = temp_path("nn_checkpoint_test", "bundle.bin");
-        ckpt.save(&path).expect("save");
-        let loaded = Checkpoint::load(&path).expect("load");
-        let _ = std::fs::remove_file(&path);
-
-        assert_eq!(loaded, ckpt);
-        assert_eq!(loaded.format_version(), CHECKPOINT_FORMAT_VERSION);
-        let state = loaded.optimizer().expect("optimizer state present");
-        assert_eq!(state.t, 2);
-        let restored = Adam::from_state(state).expect("valid state");
-        assert_eq!(restored, adam);
-    }
-
-    #[test]
-    fn checkpoint_load_rejects_unknown_version_and_bare_state_dict() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut net = Sequential::new().with(Linear::new(2, 2, &mut rng));
-        let mut ckpt = Checkpoint::new(StateDict::capture(&mut net));
-        ckpt.format_version = CHECKPOINT_FORMAT_VERSION + 1;
-        let future = temp_path("nn_checkpoint_version_test", "future.bin");
-        ckpt.save(&future).expect("save");
-        let err = Checkpoint::load(&future).expect_err("future version must be rejected");
-        assert!(matches!(err, LoadError::UnsupportedVersion { supported, .. }
-            if supported == CHECKPOINT_FORMAT_VERSION));
-        let _ = std::fs::remove_file(&future);
-
-        // A pre-versioned bare StateDict file has no format_version.
-        let bare = temp_path("nn_checkpoint_version_test", "bare.bin");
-        StateDict::capture(&mut net).save(&bare).expect("save");
-        assert!(
-            matches!(Checkpoint::load(&bare), Err(LoadError::Malformed(_))),
-            "bare StateDict must not load as Checkpoint"
-        );
-        let _ = std::fs::remove_file(&bare);
     }
 
     #[test]
@@ -707,22 +513,8 @@ mod tests {
         let bytes = std::fs::read(&path).expect("read raw");
         assert_eq!(&bytes[..8], &CONTAINER_MAGIC);
         assert_eq!(bytes.len(), CONTAINER_HEADER_LEN + 13);
-        let container = read_container(&path).expect("read");
-        assert_eq!(container.version, CONTAINER_FORMAT_VERSION);
-        assert_eq!(container.payload, b"hello payload");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn legacy_v1_json_files_still_load() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut net = Sequential::new().with(Linear::new(3, 2, &mut rng));
-        let ckpt = Checkpoint::new(StateDict::capture(&mut net));
-        // Write the pre-container format: bare JSON, no header.
-        let path = temp_path("nn_container_v1_test", "legacy.json");
-        std::fs::write(&path, serde_json::to_string(&ckpt).expect("serialize")).expect("write");
-        let loaded = Checkpoint::load(&path).expect("v1 file must still load");
-        assert_eq!(loaded, ckpt);
+        assert_eq!(&bytes[8..12], &CONTAINER_FORMAT_VERSION.to_le_bytes());
+        assert_eq!(read_container(&path).expect("read"), b"hello payload");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -736,6 +528,11 @@ mod tests {
         // Truncation inside the magic.
         std::fs::write(&path, &intact[..4]).expect("write");
         assert!(matches!(read_container(&path), Err(LoadError::Truncated { .. })));
+
+        // A file without the magic — e.g. bare JSON, the retired v1
+        // format — is refused at the header.
+        std::fs::write(&path, payload).expect("write");
+        assert!(matches!(read_container(&path), Err(LoadError::Malformed(_))));
 
         // Truncation inside the header.
         std::fs::write(&path, &intact[..CONTAINER_HEADER_LEN - 2]).expect("write");

@@ -1,14 +1,15 @@
 //! Property-based corruption tests for the v2 serialization
-//! container: whatever a crash or bit rot does to a checkpoint file,
-//! loading it returns a *typed* [`LoadError`] — never a panic, never
-//! a silently wrong value.
+//! container every checkpoint bundle is stored in: whatever a crash or
+//! bit rot does to the file, reading it returns a *typed*
+//! [`LoadError`] — never a panic, never a silently wrong value.
 
 use std::path::PathBuf;
 
 use faultsim::{flip_bit_at, truncate_at};
 use nn::layers::{Linear, Relu};
 use nn::serialize::{
-    read_container, Checkpoint, LoadError, StateDict, CONTAINER_HEADER_LEN, CONTAINER_MAGIC,
+    load_json_container, read_container, save_json_container, LoadError, StateDict,
+    CONTAINER_HEADER_LEN, CONTAINER_MAGIC,
 };
 use nn::Sequential;
 use proptest::prelude::*;
@@ -35,8 +36,8 @@ proptest! {
     fn roundtrip_is_identity(seed in any::<u64>(), width in 1usize..7) {
         let state = sample_state(seed, width);
         let path = temp_path("roundtrip", seed);
-        state.save(&path).expect("save");
-        let loaded = StateDict::load(&path).expect("pristine file loads");
+        save_json_container(&path, &state).expect("save");
+        let loaded: StateDict = load_json_container(&path).expect("pristine file loads");
         prop_assert_eq!(&state, &loaded);
         let _ = std::fs::remove_file(&path);
     }
@@ -48,15 +49,15 @@ proptest! {
     fn any_truncation_is_a_typed_error(seed in any::<u64>(), cut_frac in 0.0f64..1.0) {
         let state = sample_state(seed, 4);
         let path = temp_path("trunc", seed);
-        state.save(&path).expect("save");
+        save_json_container(&path, &state).expect("save");
         let len = std::fs::metadata(&path).expect("meta").len();
         let cut = ((cut_frac * len as f64) as u64).min(len - 1);
         truncate_at(&path, cut).expect("inject");
-        let err = StateDict::load(&path).expect_err("corrupted file must not load");
+        let err = read_container(&path).expect_err("corrupted file must not load");
         let magic = CONTAINER_MAGIC.len() as u64;
         match (cut, &err) {
             // Cut inside the magic: the remaining prefix is still
-            // recognized as a torn v2 header, not mistaken for v1.
+            // recognized as a torn header.
             (c, LoadError::Truncated { .. }) if c < magic => {}
             (c, _) if c < magic => panic!("cut {c} in magic gave {err:?}"),
             // Cut past the magic: always Truncated, with an honest
@@ -81,17 +82,17 @@ proptest! {
     ) {
         let state = sample_state(seed, 4);
         let path = temp_path("flip", seed);
-        state.save(&path).expect("save");
+        save_json_container(&path, &state).expect("save");
         let len = std::fs::metadata(&path).expect("meta").len();
         let offset = ((offset_frac * len as f64) as u64).min(len - 1);
         flip_bit_at(&path, offset, bit).expect("inject");
-        let err = StateDict::load(&path).expect_err("corrupted file must not load");
+        let err = read_container(&path).expect_err("corrupted file must not load");
         let header = CONTAINER_HEADER_LEN as u64;
         match offset {
-            // Magic damaged: the file no longer claims to be v2 and
-            // the bytes are not valid v1 JSON either.
+            // Magic damaged: refused by the header check, before any
+            // payload byte is parsed.
             o if o < 8 => prop_assert!(
-                matches!(err, LoadError::Malformed(_)),
+                matches!(&err, LoadError::Malformed(why) if why.contains("magic")),
                 "magic flip at {} gave {:?}", o, err
             ),
             o if o < 12 => prop_assert!(
@@ -113,27 +114,6 @@ proptest! {
                 "payload flip at {} gave {:?}", o, err
             ),
         }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    /// Legacy files (bare JSON, the pre-container on-disk format)
-    /// still load, for both artifact kinds.
-    #[test]
-    fn v1_bare_json_still_loads(seed in any::<u64>()) {
-        let state = sample_state(seed, 3);
-        let path = temp_path("v1_state", seed);
-        std::fs::write(&path, serde_json::to_string(&state).expect("json")).expect("write");
-        let container = read_container(&path).expect("v1 passthrough");
-        prop_assert_eq!(container.version, 1);
-        let loaded = StateDict::load(&path).expect("v1 state dict loads");
-        prop_assert_eq!(&state, &loaded);
-        let _ = std::fs::remove_file(&path);
-
-        let ckpt = Checkpoint::new(state);
-        let path = temp_path("v1_ckpt", seed);
-        std::fs::write(&path, serde_json::to_string(&ckpt).expect("json")).expect("write");
-        let loaded = Checkpoint::load(&path).expect("v1 checkpoint loads");
-        prop_assert_eq!(&ckpt, &loaded);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -654,10 +654,6 @@ pub struct Engine {
     alarm_log_len: usize,
     registry: Registry,
     metrics: EngineMetrics,
-    /// Micro-batch staging tensor, grown once to
-    /// `micro_batch × grid²` and refilled in place for every batch
-    /// (the workspace memory model — see `nn::workspace`).
-    staging: nn::Tensor,
     /// Per-submission latency budget; `None` disables deadline sheds.
     deadline: Option<Duration>,
     /// Per-submission model-bound wafer cap; `None` disables it.
@@ -728,7 +724,6 @@ impl Engine {
             alarm_log_len: config.stats_window,
             registry,
             metrics,
-            staging: nn::Tensor::default(),
             deadline: config.deadline.map(Duration::from_secs_f64),
             max_queue_depth: config.max_queue_depth,
             clock: Arc::new(WallClock::new()),
@@ -918,8 +913,6 @@ impl Engine {
                 pending.truncate(depth);
             }
         }
-        let grid = self.grid();
-        let pixels = grid * grid;
         let submit_start = self.deadline.map(|_| self.clock.now());
         let mut offset = 0;
         while offset < pending.len() {
@@ -934,13 +927,11 @@ impl Engine {
             }
             let end = (offset + self.micro_batch).min(pending.len());
             let chunk = &pending[offset..end];
-            self.staging.resize(&[chunk.len(), 1, grid, grid]);
-            for (stage, &(_, w)) in self.staging.data_mut().chunks_exact_mut(pixels).zip(chunk) {
-                w.write_image_into(stage);
-            }
             let start = Instant::now();
             let (preds, compute_secs) =
-                self.model.infer_predict_timed(&self.staging, self.threshold);
+                self.model.infer_blocks(chunk.len(), self.threshold, |i, image| {
+                    chunk[i].1.write_image_into(image);
+                });
             let latency = start.elapsed().as_secs_f64();
             let m = &self.metrics;
             let mut predicted = 0u64;

@@ -17,15 +17,15 @@ fn save_load_roundtrip_preserves_predictions() {
     })
     .run(&mut model, &train);
 
-    // Snapshot to disk and restore into a differently seeded model.
-    let snapshot = model.state_dict();
+    // Export to disk and restore into a differently seeded model.
+    let bundle = CheckpointBundle::export(&mut model);
     let dir = std::env::temp_dir().join("wm_dsl_ckpt_test");
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let path = dir.join("model.json");
-    snapshot.save(&path).expect("save checkpoint");
-    let loaded = nn::serialize::StateDict::load(&path).expect("load checkpoint");
+    bundle.save(&path).expect("save checkpoint");
+    let loaded = CheckpointBundle::load(&path).expect("load checkpoint");
     let mut restored = SelectiveModel::new(&config, 999);
-    restored.load_state_dict(&loaded).expect("restore");
+    restored.load_state_dict(loaded.params()).expect("restore");
 
     let a = model.evaluate(&test, 0.5);
     let b = restored.evaluate(&test, 0.5);
