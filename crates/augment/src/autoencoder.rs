@@ -1,4 +1,4 @@
-use nn::layers::{Conv2d, MaxPool2d, Relu, Sigmoid, Upsample2d};
+use nn::layers::{Conv2d, ConvBlock, Relu, Sigmoid, Upsample2d};
 use nn::loss::mse;
 use nn::optim::Adam;
 use nn::{Layer, Sequential, Tensor};
@@ -54,13 +54,6 @@ impl AutoencoderConfig {
     pub fn latent_shape(&self) -> [usize; 3] {
         [self.channels[2], self.grid / 8, self.grid / 8]
     }
-
-    /// Number of scalars in the latent representation.
-    #[must_use]
-    pub fn latent_len(&self) -> usize {
-        let [c, h, w] = self.latent_shape();
-        c * h * w
-    }
 }
 
 /// Convolutional auto-encoder for one wafer defect class.
@@ -94,15 +87,9 @@ impl ConvAutoencoder {
         let [c1, c2, c3] = config.channels;
         let k = config.kernel;
         let encoder = Sequential::new()
-            .with(Conv2d::same(1, c1, k, &mut rng))
-            .with(Relu::new())
-            .with(MaxPool2d::new(2))
-            .with(Conv2d::same(c1, c2, k, &mut rng))
-            .with(Relu::new())
-            .with(MaxPool2d::new(2))
-            .with(Conv2d::same(c2, c3, k, &mut rng))
-            .with(Relu::new())
-            .with(MaxPool2d::new(2));
+            .with(ConvBlock::new(Conv2d::same(1, c1, k, &mut rng)))
+            .with(ConvBlock::new(Conv2d::same(c1, c2, k, &mut rng)))
+            .with(ConvBlock::new(Conv2d::same(c2, c3, k, &mut rng)));
         let decoder = Sequential::new()
             .with(Upsample2d::new(2))
             .with(Conv2d::same(c3, c2, k, &mut rng))
@@ -238,7 +225,6 @@ mod tests {
     fn latent_math() {
         let cfg = AutoencoderConfig::for_grid(32);
         assert_eq!(cfg.latent_shape(), [8, 4, 4]);
-        assert_eq!(cfg.latent_len(), 128);
     }
 
     #[test]

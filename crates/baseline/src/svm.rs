@@ -227,12 +227,6 @@ impl Svm {
             -1.0
         }
     }
-
-    /// Number of support vectors retained.
-    #[must_use]
-    pub fn support_vector_count(&self) -> usize {
-        self.support_vectors.len()
-    }
 }
 
 #[cfg(test)]
@@ -319,6 +313,7 @@ mod tests {
         }
         let params = SvmParams { kernel: Kernel::Linear, ..SvmParams::default() };
         let svm = Svm::train(&x, &y, &params, 6);
-        assert!(svm.support_vector_count() < 30, "too many SVs: {}", svm.support_vector_count());
+        let count = svm.support_vectors.len();
+        assert!(count < 30, "too many SVs: {count}");
     }
 }

@@ -1,4 +1,4 @@
-use nn::layers::{Conv2d, Flatten, Linear, MaxPool2d, Relu, Sigmoid};
+use nn::layers::{Conv2d, ConvBlock, Flatten, Linear, Relu, Sigmoid};
 use nn::optim::Adam;
 use nn::serialize::{RestoreError, StateDict};
 use nn::{Layer, Sequential, Tensor};
@@ -52,15 +52,9 @@ impl SelectiveModel {
         let [c1, c2, c3] = config.conv_channels;
         let [k1, k2, k3] = config.kernels;
         let trunk = Sequential::new()
-            .with(Conv2d::same(1, c1, k1, &mut rng))
-            .with(Relu::new())
-            .with(MaxPool2d::new(2))
-            .with(Conv2d::same(c1, c2, k2, &mut rng))
-            .with(Relu::new())
-            .with(MaxPool2d::new(2))
-            .with(Conv2d::same(c2, c3, k3, &mut rng))
-            .with(Relu::new())
-            .with(MaxPool2d::new(2))
+            .with(ConvBlock::new(Conv2d::same(1, c1, k1, &mut rng)))
+            .with(ConvBlock::new(Conv2d::same(c1, c2, k2, &mut rng)))
+            .with(ConvBlock::new(Conv2d::same(c2, c3, k3, &mut rng)))
             .with(Flatten::new())
             .with(Linear::new(config.flat_features(), config.fc, &mut rng))
             .with(Relu::new());

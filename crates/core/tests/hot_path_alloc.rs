@@ -2,7 +2,7 @@
 //!
 //! Every internal scratch buffer on the batch path (im2col columns,
 //! conv gradient partials, GEMM pack panels, loss scratch) is sized
-//! through `nn::workspace::reserve_f32`, which grows a buffer at most
+//! through `nn::workspace::reserve`, which grows a buffer at most
 //! once per high-water mark and counts each growth. After a warm-up
 //! epoch has visited every shape, further training must not grow any
 //! workspace buffer: the process-wide grow counter (`grow_count`)

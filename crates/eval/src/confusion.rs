@@ -201,37 +201,6 @@ impl ConfusionMatrix {
         (po - pe) / (1.0 - pe)
     }
 
-    /// Render a per-class classification report (precision / recall /
-    /// F1 / support), one row per class plus an accuracy footer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `labels.len() != n_classes`.
-    #[must_use]
-    pub fn to_report(&self, labels: &[&str]) -> String {
-        assert_eq!(labels.len(), self.n_classes, "label count mismatch");
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:>12} {:>10} {:>10} {:>10} {:>10}\n",
-            "class", "precision", "recall", "f1", "support"
-        ));
-        for (c, l) in labels.iter().enumerate() {
-            let s = self.class_scores(c);
-            out.push_str(&format!(
-                "{:>12} {:>10.3} {:>10.3} {:>10.3} {:>10}\n",
-                l, s.precision, s.recall, s.f1, s.support
-            ));
-        }
-        out.push_str(&format!(
-            "\naccuracy {:.3}   macro-F1 {:.3}   kappa {:.3}   ({} samples)\n",
-            self.accuracy(),
-            self.macro_f1(),
-            self.cohens_kappa(),
-            self.total()
-        ));
-        out
-    }
-
     /// Merge another confusion matrix into this one.
     ///
     /// # Panics
@@ -393,14 +362,5 @@ mod tests {
     #[test]
     fn kappa_empty_is_zero() {
         assert_eq!(ConfusionMatrix::new(4).cohens_kappa(), 0.0);
-    }
-
-    #[test]
-    fn report_contains_summary_line() {
-        let cm = sample_matrix();
-        let report = cm.to_report(&["a", "b", "c"]);
-        assert!(report.contains("macro-F1"));
-        assert!(report.contains("kappa"));
-        assert!(report.lines().count() >= 5);
     }
 }

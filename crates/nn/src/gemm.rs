@@ -212,7 +212,7 @@ fn blocked(
     B_SCRATCH.with(|cell| {
         let mut b_buf = cell.borrow_mut();
         let b_need = n_panels * k * NR;
-        let b_packed = workspace::reserve_f32(&mut b_buf, b_need);
+        let b_packed = workspace::reserve(&mut b_buf, b_need);
         pack_b(b_packed, b, b_layout, k, n);
 
         let row_blocks = m.div_ceil(MC);
@@ -227,7 +227,7 @@ fn blocked(
             let a_need = groups * KC.min(k) * MR;
             A_SCRATCH.with(|a_cell| {
                 let mut a_buf = a_cell.borrow_mut();
-                let a_packed = workspace::reserve_f32(&mut a_buf, a_need);
+                let a_packed = workspace::reserve(&mut a_buf, a_need);
                 for p0 in (0..k).step_by(KC) {
                     let kc = KC.min(k - p0);
                     pack_a(a_packed, a, a_layout, m, k, i0, mb, p0, kc);

@@ -2,6 +2,7 @@ use std::cell::RefCell;
 
 use rand::Rng;
 
+use super::pool::{relu_pool2x2, relu_unpool2x2};
 use crate::gemm::{sgemm, sgemm_nt, sgemm_tn};
 use crate::pool::{self, Shards};
 use crate::{init, workspace, Layer, Param, Tensor};
@@ -38,17 +39,23 @@ pub struct Conv2d {
 }
 
 thread_local! {
-    /// Reusable im2col buffer for [`Conv2d::infer`]. One per thread:
-    /// pool workers are persistent, so after warm-up the buffer never
-    /// grows again (the output tensor is still allocated per call).
-    /// `im2col` overwrites every element (padding included), so the
-    /// buffer never needs zeroing.
+    /// Reusable per-sample buffer for the inference pass. One per
+    /// thread: pool workers are persistent, so after warm-up the buffer
+    /// never grows again (the output tensor is still allocated per
+    /// call). It holds the sample's im2col unfolding, followed, for a
+    /// pooled [`ConvBlock`], by the sample's `[C_out, OH, OW]`
+    /// pre-activation plane. `im2col` overwrites every element (padding
+    /// included), so the columns never need zeroing; the plane is
+    /// zeroed per sample.
     static COL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Reusable `dcol` buffer for [`Conv2d::backward`]'s per-sample
-    /// input-gradient GEMM. Per thread, like [`COL_SCRATCH`]: samples
-    /// fan out across pool workers, and each worker zero-fills the
-    /// buffer before the accumulate-GEMM (a memory touch, not an
-    /// allocation).
+    /// Reusable `dcol` buffer for the per-sample input-gradient GEMM of
+    /// the backward pass, followed, for a pooled [`ConvBlock`], by one
+    /// `[C_out, OH, OW]` plane: the sample's output gradient expanded
+    /// from the pooled one in `backward`, its pre-activation in the
+    /// training `forward` (whose im2col goes to the backward cache).
+    /// Per thread, like [`COL_SCRATCH`]: samples fan out across pool
+    /// workers, and each worker zero-fills the buffer before the
+    /// accumulate-GEMM (a memory touch, not an allocation).
     static DCOL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -228,9 +235,46 @@ impl Conv2d {
     }
 }
 
-impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+impl Conv2d {
+    /// Output shape for `n` samples: the convolution's
+    /// `[N, C_out, OH, OW]`, or, for a pooled block, that halved by the
+    /// 2×2 window.
+    fn out_shape(&self, n: usize, (oh, ow): (usize, usize), pooled: bool) -> [usize; 4] {
+        if pooled {
+            assert!(oh >= 2 && ow >= 2, "conv output {oh}x{ow} smaller than the pooling window");
+            [n, self.out_channels, oh / 2, ow / 2]
+        } else {
+            [n, self.out_channels, oh, ow]
+        }
+    }
+
+    /// A pooled block's per-sample kernel: [`Conv2d::conv_sample`] into
+    /// the pre-activation `plane` (zeroed first: the GEMM accumulates),
+    /// then the fused ReLU + 2×2 max-pool into `out_n`, recording the
+    /// window argmax when `argmax` is given.
+    #[allow(clippy::too_many_arguments)]
+    fn pooled_sample(
+        &self,
+        sample: &[f32],
+        h: usize,
+        w: usize,
+        col: &mut [f32],
+        plane: &mut [f32],
+        out_n: &mut [f32],
+        argmax: Option<&mut [u32]>,
+    ) {
+        let (oh, ow) = self.output_hw(h, w);
+        plane.fill(0.0);
+        self.conv_sample(sample, h, w, col, plane);
+        relu_pool2x2(plane, [self.out_channels, oh, ow], out_n, argmax);
+    }
+
+    /// The training forward of [`Conv2d`] and, when `argmax` is given,
+    /// of a pooled [`ConvBlock`], whose window argmax it fills.
+    fn forward_pass(&mut self, input: &Tensor, argmax: Option<&mut Vec<u32>>) -> Tensor {
         let ([n, c, h, w], (oh, ow)) = self.check_input(input);
+        let out_shape = self.out_shape(n, (oh, ow), argmax.is_some());
+        let out_len: usize = out_shape[1..].iter().product();
         let col_size = self.col_rows() * oh * ow;
         // Reclaim the warm im2col buffer (from the previous cache or
         // the parked scratch) instead of allocating per batch; `im2col`
@@ -240,56 +284,84 @@ impl Layer for Conv2d {
             .take()
             .map(|prev| prev.cols)
             .unwrap_or_else(|| std::mem::take(&mut self.scratch.cols));
-        workspace::reserve_f32(&mut cols, n * col_size);
-        let mut out = Tensor::zeros(&[n, self.out_channels, oh, ow]);
+        workspace::reserve(&mut cols, n * col_size);
+        let mut out = Tensor::zeros(&out_shape);
         if oh * ow > 0 {
-            // One chunk per sample: im2col buffers and output planes
-            // are disjoint per-sample shards, so the batch fans out
-            // across the worker pool with no cross-sample state. The
-            // shards are kept as the backward cache.
+            // One chunk per sample: im2col buffers, output planes and
+            // argmax rows are disjoint per-sample shards, so the batch
+            // fans out across the worker pool with no cross-sample
+            // state. The im2col shards are kept as the backward cache;
+            // a pooled block's pre-activation plane lives only in the
+            // worker's scratch.
             let input_data = input.data();
             let col_shards = Shards::new(&mut cols[..n * col_size], col_size);
-            let out_shards = Shards::new(out.data_mut(), self.out_channels * oh * ow);
+            let out_shards = Shards::new(out.data_mut(), out_len);
+            let arg_shards =
+                argmax.map(|a| Shards::new(workspace::reserve(a, n * out_len), out_len));
+            let plane_len = self.out_channels * oh * ow;
             let this = &*self;
             pool::parallel_for(n, |i| {
                 let sample = &input_data[i * c * h * w..(i + 1) * c * h * w];
-                this.conv_sample(sample, h, w, col_shards.claim(i), out_shards.claim(i));
+                let (col, out_n) = (col_shards.claim(i), out_shards.claim(i));
+                match &arg_shards {
+                    None => this.conv_sample(sample, h, w, col, out_n),
+                    // The plane takes the slot `backward` uses for this
+                    // layer's expanded gradient, reserved at the same
+                    // length, so a warm-up pass of either grows the
+                    // worker's buffer for both.
+                    Some(args) => DCOL_SCRATCH.with(|cell| {
+                        let mut buf = cell.borrow_mut();
+                        let plane =
+                            &mut workspace::reserve(&mut buf, col_size + plane_len)[col_size..];
+                        this.pooled_sample(sample, h, w, col, plane, out_n, Some(args.claim(i)));
+                    }),
+                }
             });
         }
         self.cache = Some(ConvCache { input_shape: [n, c, h, w], out_hw: (oh, ow), cols });
         out
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
+    /// The inference forward of [`Conv2d`] and, when `pooled`, of a
+    /// [`ConvBlock`].
+    fn infer_pass(&self, input: &Tensor, pooled: bool) -> Tensor {
         let ([n, c, h, w], (oh, ow)) = self.check_input(input);
-        let mut out = Tensor::zeros(&[n, self.out_channels, oh, ow]);
+        let out_shape = self.out_shape(n, (oh, ow), pooled);
+        let mut out = Tensor::zeros(&out_shape);
         if oh * ow > 0 {
             let col_size = self.col_rows() * oh * ow;
-            let out_plane = self.out_channels * oh * ow;
+            let plane_len = if pooled { self.out_channels * oh * ow } else { 0 };
+            let out_len: usize = out_shape[1..].iter().product();
             let input_data = input.data();
-            let out_data = out.data_mut();
             COL_SCRATCH.with(|cell| {
-                let mut col = cell.borrow_mut();
-                let col = workspace::reserve_f32(&mut col, col_size);
-                for i in 0..n {
+                let mut buf = cell.borrow_mut();
+                let (col, plane) =
+                    workspace::reserve(&mut buf, col_size + plane_len).split_at_mut(col_size);
+                for (i, out_n) in out.data_mut().chunks_exact_mut(out_len).enumerate() {
                     let sample = &input_data[i * c * h * w..(i + 1) * c * h * w];
-                    let out_n = &mut out_data[i * out_plane..(i + 1) * out_plane];
-                    self.conv_sample(sample, h, w, col, out_n);
+                    if pooled {
+                        self.pooled_sample(sample, h, w, col, plane, out_n, None);
+                    } else {
+                        self.conv_sample(sample, h, w, col, out_n);
+                    }
                 }
             });
         }
         out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    /// The one backward kernel of [`Conv2d`] and [`ConvBlock`]. Each
+    /// sample's `[C_out, OH·OW]` output gradient is read from
+    /// `grad_output` in place, or, for a pooled block (`argmax` given),
+    /// expanded from the pooled gradient through the window argmax into
+    /// the worker's scratch.
+    fn backward_pass(&mut self, grad_output: &Tensor, argmax: Option<&[u32]>) -> Tensor {
         let cache = self.cache.as_ref().expect("backward before forward");
         let [n, c, h, w] = cache.input_shape;
         let (oh, ow) = cache.out_hw;
-        assert_eq!(
-            grad_output.shape(),
-            &[n, self.out_channels, oh, ow],
-            "bad grad shape for Conv2d"
-        );
+        let out_shape = self.out_shape(n, (oh, ow), argmax.is_some());
+        assert_eq!(grad_output.shape(), &out_shape, "bad grad shape for Conv2d");
+        let grad_len: usize = out_shape[1..].iter().product();
         let col_rows = self.col_rows();
         let col_size = col_rows * oh * ow;
         let out_plane = self.out_channels * oh * ow;
@@ -303,29 +375,39 @@ impl Layer for Conv2d {
         // touches memory but allocates nothing after the first batch.
         let mut dw_vec = std::mem::take(&mut self.scratch.dw_partials);
         let mut db_vec = std::mem::take(&mut self.scratch.db_partials);
-        workspace::reserve_f32(&mut dw_vec, n * w_len).fill(0.0);
-        workspace::reserve_f32(&mut db_vec, n * c_out).fill(0.0);
+        workspace::reserve(&mut dw_vec, n * w_len).fill(0.0);
+        workspace::reserve(&mut db_vec, n * c_out).fill(0.0);
         if oh * ow > 0 {
-            let dout = grad_output.data();
+            let grad = grad_output.data();
             let cols = &cache.cols;
             let dw_shards = Shards::new(&mut dw_vec[..n * w_len], w_len);
             let db_shards = Shards::new(&mut db_vec[..n * c_out], c_out);
             let gi_shards = Shards::new(grad_input.data_mut(), c * h * w);
+            let plane_len = if argmax.is_some() { out_plane } else { 0 };
             let this = &*self;
             pool::parallel_for(n, |i| {
-                let dout_n = &dout[i * out_plane..(i + 1) * out_plane];
+                let grad_n = &grad[i * grad_len..(i + 1) * grad_len];
                 let col = &cols[i * col_size..(i + 1) * col_size];
-                // dW_i [C_out, CKK] = dOut_i [C_out, OH·OW] · col_iᵀ
-                sgemm_nt(c_out, oh * ow, col_rows, dout_n, col, dw_shards.claim(i));
-                // db_i[co] = Σ dOut_i[co, :]
-                let db_i = db_shards.claim(i);
-                for (co, chunk) in dout_n.chunks_exact(oh * ow).enumerate() {
-                    db_i[co] = chunk.iter().sum::<f32>();
-                }
-                // dcol [CKK, OH·OW] = Wᵀ · dOut_i
                 DCOL_SCRATCH.with(|cell| {
                     let mut buf = cell.borrow_mut();
-                    let dcol = workspace::reserve_f32(&mut buf, col_size);
+                    let (dcol, plane) =
+                        workspace::reserve(&mut buf, col_size + plane_len).split_at_mut(col_size);
+                    let dout_n: &[f32] = match argmax {
+                        None => grad_n,
+                        Some(argmax) => {
+                            let argmax_n = &argmax[i * grad_len..(i + 1) * grad_len];
+                            relu_unpool2x2(grad_n, argmax_n, plane);
+                            plane
+                        }
+                    };
+                    // dW_i [C_out, CKK] = dOut_i [C_out, OH·OW] · col_iᵀ
+                    sgemm_nt(c_out, oh * ow, col_rows, dout_n, col, dw_shards.claim(i));
+                    // db_i[co] = Σ dOut_i[co, :]
+                    let db_i = db_shards.claim(i);
+                    for (co, chunk) in dout_n.chunks_exact(oh * ow).enumerate() {
+                        db_i[co] = chunk.iter().sum::<f32>();
+                    }
+                    // dcol [CKK, OH·OW] = Wᵀ · dOut_i
                     dcol.fill(0.0);
                     sgemm_tn(col_rows, c_out, oh * ow, this.weight.value.data(), dout_n, dcol);
                     this.col2im(dcol, h, w, gi_shards.claim(i));
@@ -346,10 +428,83 @@ impl Layer for Conv2d {
         self.scratch.db_partials = db_vec;
         grad_input
     }
+}
+
+impl Layer for Conv2d {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        self.forward_pass(input, None)
+    }
+
+    fn infer(&self, input: &Tensor) -> Tensor {
+        self.infer_pass(input, false)
+    }
+
+    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward_pass(grad_output, None)
+    }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
         visitor(&mut self.weight);
         visitor(&mut self.bias);
+    }
+}
+
+/// A pooled convolution block: [`Conv2d`] → ReLU → 2×2 max-pool in one
+/// layer, bit-identical to that chain of [`Conv2d`], [`super::Relu`] and
+/// [`super::MaxPool2d`]`::new(2)`.
+///
+/// Each sample's pre-activation plane lives only in the convolution's
+/// per-worker scratch: the fused ReLU and pool read it while it is
+/// still in cache, inside the same per-sample chunk as the im2col and
+/// GEMM. What `backward` needs is the convolution's im2col cache plus a
+/// `u32` argmax per pooled output (a per-layer workspace buffer), so no
+/// full-size activation, mask or gradient tensor is allocated. The
+/// parameters are the wrapped convolution's, visited in its order.
+///
+/// # Example
+///
+/// ```
+/// use nn::{layers::{Conv2d, ConvBlock}, Layer, Tensor};
+/// use rand::{rngs::StdRng, SeedableRng};
+///
+/// let mut rng = StdRng::seed_from_u64(0);
+/// let mut block = ConvBlock::new(Conv2d::same(1, 8, 5, &mut rng));
+/// let y = block.forward(&Tensor::zeros(&[2, 1, 16, 16]));
+/// assert_eq!(y.shape(), &[2, 8, 8, 8]);
+/// ```
+#[derive(Debug)]
+pub struct ConvBlock {
+    conv: Conv2d,
+    /// Window argmax of the last `forward`, `[N, C_out, OH/2, OW/2]`:
+    /// the sample-plane index of each window's first maximum, or
+    /// `NO_ARGMAX` when that maximum is ≤ 0 (ReLU passes no gradient).
+    /// Grown once to the largest batch (see [`crate::workspace`]).
+    argmax: Vec<u32>,
+}
+
+impl ConvBlock {
+    /// Wrap `conv` with the fused ReLU and 2×2 max-pool.
+    #[must_use]
+    pub fn new(conv: Conv2d) -> Self {
+        ConvBlock { conv, argmax: Vec::new() }
+    }
+}
+
+impl Layer for ConvBlock {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        self.conv.forward_pass(input, Some(&mut self.argmax))
+    }
+
+    fn infer(&self, input: &Tensor) -> Tensor {
+        self.conv.infer_pass(input, true)
+    }
+
+    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        self.conv.backward_pass(grad_output, Some(&self.argmax))
+    }
+
+    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
+        self.conv.visit_params(visitor);
     }
 }
 

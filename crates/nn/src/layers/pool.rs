@@ -63,52 +63,43 @@ impl MaxPool2d {
         }
         let data = input.data();
         let out_data = out.data_mut();
+        if self.window == 2 {
+            // The paper's only pooling shape.
+            pool2x2(
+                data,
+                [n * c, h, w],
+                out_data,
+                |v| v,
+                |j, at, _| {
+                    if let Some(argmax) = argmax.as_deref_mut() {
+                        argmax[j] = at;
+                    }
+                },
+            );
+            return out;
+        }
         for nc in 0..n * c {
             let plane_base = nc * h * w;
             let out_base = nc * oh * ow;
             for oy in 0..oh {
                 let out_row = &mut out_data[out_base + oy * ow..][..ow];
                 let mut arg_row = argmax.as_deref_mut().map(|a| &mut a[out_base + oy * ow..][..ow]);
-                if self.window == 2 {
-                    // The paper's only pooling shape: branch-free
-                    // max-of-four over adjacent row pairs (the same value
-                    // as the scan below — the inputs are finite, so max
-                    // order does not matter).
-                    let top_base = plane_base + 2 * oy * w;
-                    let top = &data[top_base..][..w];
-                    let bot = &data[top_base + w..][..w];
-                    for (ox, o) in out_row.iter_mut().enumerate() {
-                        let x = 2 * ox;
-                        let (tl, tr, bl, br) = (top[x], top[x + 1], bot[x], bot[x + 1]);
-                        let max = tl.max(tr).max(bl).max(br);
-                        *o = max;
-                        if let Some(arg_row) = arg_row.as_deref_mut() {
-                            // Selects, not branches: which cell holds the
-                            // max is data-dependent and mispredicts.
-                            let off = if bl == max { w } else { w + 1 };
-                            let off = if tr == max { 1 } else { off };
-                            let off = if tl == max { 0 } else { off };
-                            arg_row[ox] = top_base + x + off;
-                        }
-                    }
-                } else {
-                    for (ox, o) in out_row.iter_mut().enumerate() {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
-                        for dy in 0..self.window {
-                            let row_base = plane_base + (oy * self.window + dy) * w;
-                            for dx in 0..self.window {
-                                let idx = row_base + ox * self.window + dx;
-                                if data[idx] > best {
-                                    best = data[idx];
-                                    best_idx = idx;
-                                }
+                for (ox, o) in out_row.iter_mut().enumerate() {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = 0usize;
+                    for dy in 0..self.window {
+                        let row_base = plane_base + (oy * self.window + dy) * w;
+                        for dx in 0..self.window {
+                            let idx = row_base + ox * self.window + dx;
+                            if data[idx] > best {
+                                best = data[idx];
+                                best_idx = idx;
                             }
                         }
-                        *o = best;
-                        if let Some(arg_row) = arg_row.as_deref_mut() {
-                            arg_row[ox] = best_idx;
-                        }
+                    }
+                    *o = best;
+                    if let Some(arg_row) = arg_row.as_deref_mut() {
+                        arg_row[ox] = best_idx;
                     }
                 }
             }
@@ -141,6 +132,90 @@ impl Layer for MaxPool2d {
             gi[src] += g;
         }
         grad_input
+    }
+}
+
+/// Argmax sentinel of [`relu_pool2x2`]: the window's max is ≤ 0, so
+/// ReLU passes no gradient to any of its cells.
+pub(super) const NO_ARGMAX: u32 = u32::MAX;
+
+/// The one 2×2 window kernel, behind both `MaxPool2d::new(2)` and
+/// [`super::ConvBlock`]: pool `planes [C, H, W]` into
+/// `out [C, H/2, W/2]`, each output the max over `cell(v)` of its
+/// window's four cells. `argmax(j, at, max)` receives each output index
+/// `j`, the `planes` index `at` of the window's first maximum in
+/// row-major order, and the maximum. A trailing odd row or column is
+/// dropped.
+#[inline(always)]
+fn pool2x2(
+    planes: &[f32],
+    [c, h, w]: [usize; 3],
+    out: &mut [f32],
+    cell: impl Fn(f32) -> f32,
+    mut argmax: impl FnMut(usize, usize, f32),
+) {
+    let (oh, ow) = (h / 2, w / 2);
+    for ch in 0..c {
+        for oy in 0..oh {
+            let top_base = ch * h * w + 2 * oy * w;
+            let top = &planes[top_base..][..w];
+            let bot = &planes[top_base + w..][..w];
+            let row = (ch * oh + oy) * ow;
+            for (ox, o) in out[row..][..ow].iter_mut().enumerate() {
+                let x = 2 * ox;
+                let (tl, tr) = (cell(top[x]), cell(top[x + 1]));
+                let (bl, br) = (cell(bot[x]), cell(bot[x + 1]));
+                // Branch-free max-of-four (the same value as a scan: the
+                // inputs are finite, so max order does not matter).
+                let max = tl.max(tr).max(bl).max(br);
+                *o = max;
+                // Selects, not branches: which cell holds the max is
+                // data-dependent and mispredicts.
+                let off = if bl == max { w } else { w + 1 };
+                let off = if tr == max { 1 } else { off };
+                let off = if tl == max { 0 } else { off };
+                argmax(row + ox, top_base + x + off, max);
+            }
+        }
+    }
+}
+
+/// Fused ReLU + 2×2 max-pool of one `[C, H, W]` pre-activation plane
+/// into `out [C, H/2, W/2]`: exactly `Relu` followed by
+/// `MaxPool2d::new(2)`. With `argmax`, each pooled element also records
+/// the plane index of its window's first maximum, or [`NO_ARGMAX`] when
+/// that maximum is ≤ 0.
+pub(super) fn relu_pool2x2(
+    plane: &[f32],
+    shape: [usize; 3],
+    out: &mut [f32],
+    mut argmax: Option<&mut [u32]>,
+) {
+    let len: usize = shape.iter().product();
+    assert!(len < NO_ARGMAX as usize, "plane of {len} elements too large for a u32 argmax");
+    pool2x2(
+        plane,
+        shape,
+        out,
+        |v| v.max(0.0),
+        |j, at, max| {
+            if let Some(argmax) = argmax.as_deref_mut() {
+                argmax[j] = if max > 0.0 { at as u32 } else { NO_ARGMAX };
+            }
+        },
+    );
+}
+
+/// Backward of [`relu_pool2x2`]: expand one sample's pooled gradient
+/// into its pre-activation gradient `plane`, `g` accumulated onto zero
+/// at each recorded argmax and zero everywhere else — what
+/// `MaxPool2d::backward` followed by `Relu::backward` computes.
+pub(super) fn relu_unpool2x2(grad: &[f32], argmax: &[u32], plane: &mut [f32]) {
+    plane.fill(0.0);
+    for (&g, &at) in grad.iter().zip(argmax) {
+        if at != NO_ARGMAX {
+            plane[at as usize] += g;
+        }
     }
 }
 

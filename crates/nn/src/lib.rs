@@ -2,9 +2,10 @@
 //! deep-selective-learning reproduction.
 //!
 //! This crate provides everything the paper's models need and nothing
-//! more: a dense `f32` [`Tensor`], a threaded GEMM, convolution,
-//! max-pool, upsample and linear layers with **manual
-//! backpropagation**, ReLU/sigmoid activations, fused softmax
+//! more: a dense `f32` [`Tensor`], a threaded GEMM, convolution
+//! (plain, or fused with ReLU and 2×2 max-pool as
+//! [`layers::ConvBlock`]), max-pool, upsample and linear layers with
+//! **manual backpropagation**, ReLU/sigmoid activations, fused softmax
 //! cross-entropy and MSE losses, He initialization, and the Adam
 //! optimizer. Parameter values ([`serialize::StateDict`]) and Adam
 //! state ([`optim::AdamState`]) serialize with `serde` for

@@ -44,19 +44,6 @@ impl Adam {
         Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
     }
 
-    /// Override the exponential decay rates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either beta is outside `[0, 1)`.
-    #[must_use]
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        assert!((0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2), "betas in [0,1)");
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
     /// Current learning rate.
     #[must_use]
     pub fn learning_rate(&self) -> f32 {
@@ -330,7 +317,7 @@ mod tests {
     fn state_roundtrip_preserves_counter_and_hyperparams() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut net = Linear::new(2, 2, &mut rng);
-        let mut adam = Adam::new(0.01).with_betas(0.8, 0.95);
+        let mut adam = Adam { beta1: 0.8, beta2: 0.95, ..Adam::new(0.01) };
         for _ in 0..3 {
             adam.step(&mut net);
         }

@@ -3,7 +3,7 @@
 //! The training and serving hot paths reuse long-lived buffers —
 //! per-layer workspaces, per-thread thread-locals, trainer staging —
 //! instead of allocating per batch or per sample. Every such buffer is
-//! sized through [`reserve_f32`], which grows it at most to the
+//! sized through [`reserve`], which grows it at most to the
 //! largest size ever requested and **counts each growth** in the
 //! process-wide [`telemetry::global`] registry:
 //!
@@ -53,15 +53,15 @@ fn metrics() -> &'static ScratchMetrics {
 /// `len` as a slice.
 ///
 /// Growth is amortized-once: after the largest shape has been seen,
-/// calls never allocate. New elements are zero-filled; **existing
-/// elements keep their prior contents** — callers that need a zeroed
-/// buffer (e.g. GEMM accumulation targets) must `fill(0.0)` the
-/// returned slice themselves, which touches memory but allocates
+/// calls never allocate. New elements are `T::default()` (zero);
+/// **existing elements keep their prior contents** — callers that need
+/// a zeroed buffer (e.g. GEMM accumulation targets) must `fill(0.0)`
+/// the returned slice themselves, which touches memory but allocates
 /// nothing.
-pub fn reserve_f32(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+pub fn reserve<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
     if buf.len() < len {
-        let grown = (len - buf.len()) * std::mem::size_of::<f32>();
-        buf.resize(len, 0.0);
+        let grown = (len - buf.len()) * std::mem::size_of::<T>();
+        buf.resize(len, T::default());
         let m = metrics();
         m.grows.inc();
         m.grow_bytes.add(grown as u64);
@@ -87,21 +87,21 @@ mod tests {
     #[test]
     fn reserve_grows_once_and_counts() {
         let before = grow_count();
-        let mut buf = Vec::new();
-        let s = reserve_f32(&mut buf, 128);
+        let mut buf = Vec::<f32>::new();
+        let s = reserve(&mut buf, 128);
         assert_eq!(s.len(), 128);
         assert!(s.iter().all(|&v| v == 0.0));
         s.fill(3.0);
         assert_eq!(grow_count(), before + 1);
 
         // Same or smaller size: no growth, contents preserved.
-        let s = reserve_f32(&mut buf, 64);
+        let s = reserve(&mut buf, 64);
         assert_eq!(s.len(), 64);
         assert!(s.iter().all(|&v| v == 3.0));
         assert_eq!(grow_count(), before + 1);
 
         // Larger: exactly one more growth, zero-filled new tail.
-        let s = reserve_f32(&mut buf, 256);
+        let s = reserve(&mut buf, 256);
         assert_eq!(s.len(), 256);
         assert!(s[128..].iter().all(|&v| v == 0.0));
         assert_eq!(grow_count(), before + 2);

@@ -257,13 +257,7 @@ impl Registry {
     }
 
     /// Get or create a histogram with labels.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid metric/label names, zero capacity, or a kind
-    /// collision.
-    #[must_use]
-    pub fn histogram_with(
+    fn histogram_with(
         &self,
         name: &str,
         labels: &[(&str, &str)],

@@ -172,44 +172,6 @@ impl Dataset {
         (front, back)
     }
 
-    /// Flattened `f32` image batch plus label indices and weights, in
-    /// sample order: the tensors a training loop consumes. Images are
-    /// row-major, one `grid*grid` block per sample.
-    #[must_use]
-    pub fn to_tensors(&self) -> (Vec<f32>, Vec<usize>, Vec<f32>) {
-        let pixels = self.grid * self.grid;
-        let mut images = Vec::with_capacity(self.samples.len() * pixels);
-        let mut labels = Vec::with_capacity(self.samples.len());
-        let mut weights = Vec::with_capacity(self.samples.len());
-        for s in &self.samples {
-            images.extend(s.map.to_image());
-            labels.push(s.label.index());
-            weights.push(s.weight);
-        }
-        (images, labels, weights)
-    }
-
-    /// Serialize the dataset to a JSON file (reproducible experiment
-    /// snapshots without re-running generation).
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation and serialization errors.
-    pub fn save_json<P: AsRef<std::path::Path>>(&self, path: P) -> std::io::Result<()> {
-        let file = std::fs::File::create(path)?;
-        serde_json::to_writer(std::io::BufWriter::new(file), self).map_err(std::io::Error::other)
-    }
-
-    /// Load a dataset written by [`Dataset::save_json`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-open and deserialization errors.
-    pub fn load_json<P: AsRef<std::path::Path>>(path: P) -> std::io::Result<Self> {
-        let file = std::fs::File::open(path)?;
-        serde_json::from_reader(std::io::BufReader::new(file)).map_err(std::io::Error::other)
-    }
-
     /// Merge another dataset into this one.
     ///
     /// # Panics
@@ -393,33 +355,11 @@ mod tests {
     }
 
     #[test]
-    fn to_tensors_shapes_agree() {
-        let (train, _) = SyntheticWm811k::new(8).scale(0.001).seed(5).build();
-        let (images, labels, weights) = train.to_tensors();
-        assert_eq!(images.len(), train.len() * 64);
-        assert_eq!(labels.len(), train.len());
-        assert_eq!(weights.len(), train.len());
-        assert!(weights.iter().all(|&w| w == 1.0));
-    }
-
-    #[test]
     fn filtered_drops_requested_classes() {
         let (train, _) = SyntheticWm811k::new(8).scale(0.002).seed(6).build();
         let no_nearfull = train.filtered(|c| c != DefectClass::NearFull);
         assert_eq!(no_nearfull.class_counts()[DefectClass::NearFull.index()], 0);
         assert!(no_nearfull.len() < train.len());
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_dataset() {
-        let (train, _) = SyntheticWm811k::new(8).scale(0.0005).seed(10).build();
-        let dir = std::env::temp_dir().join("wafermap_dataset_test");
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let path = dir.join("ds.json");
-        train.save_json(&path).expect("save");
-        let loaded = Dataset::load_json(&path).expect("load");
-        assert_eq!(loaded, train);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -106,12 +106,8 @@ pub fn generate<R: Rng + ?Sized>(class: DefectClass, cfg: &GenConfig, rng: &mut 
 }
 
 /// Draw one wafer map from explicit, pre-sampled pattern parameters.
-///
-/// Exposing the intermediate [`PatternParams`] lets callers generate
-/// correlated samples (e.g. the same scratch at two noise levels) and
-/// lets the concept-shift experiment perturb parameters directly.
 #[must_use]
-pub fn generate_with_params<R: Rng + ?Sized>(
+fn generate_with_params<R: Rng + ?Sized>(
     params: &PatternParams,
     cfg: &GenConfig,
     rng: &mut R,
