@@ -1,7 +1,7 @@
 //! The workspace-growth contract of the training hot path.
 //!
 //! Every internal scratch buffer on the batch path (im2col columns,
-//! conv gradient partials, GEMM pack panels, loss scratch) is sized
+//! conv gradient partials, loss scratch) is sized
 //! through `nn::workspace::reserve`, which grows a buffer at most
 //! once per high-water mark and counts each growth. After a warm-up
 //! epoch has visited every shape, further training must not grow any

@@ -1,31 +1,40 @@
-//! Explicit SIMD micro-kernels for the GEMM core.
+//! Register-tile kernels for the GEMM core, one per instruction set.
 //!
-//! On `x86_64` with AVX2 + FMA (detected once at runtime) the blocked
-//! GEMM's innermost loops run as 8-lane vector code; everywhere else —
-//! other architectures, older x86, or `WM_FORCE_SCALAR=1` — the safe
-//! wrappers here return `false` and the portable scalar kernels in
-//! [`crate::gemm`] run instead.
+//! The blocked GEMM ([`crate::gemm`]) hands every `MR`×`NR` = 8×32
+//! output tile to `Arm::tile`, which runs one of three arms of the
+//! same contract:
+//!
+//! - **AVX-512F**: sixteen `zmm` accumulators (8 rows × 2 vectors); per
+//!   `p`, two `B` loads, eight broadcasts and sixteen fused
+//!   multiply-adds. Edge tiles load and store `C` under lane masks.
+//! - **AVX2 + FMA**: the tile as four 4×16 sub-tiles of eight `ymm`
+//!   accumulators each. Edge sub-tiles are staged through a zero-padded
+//!   4×16 tile.
+//! - **Scalar**: the same 4×16 sub-tiling in safe code. Its 64
+//!   accumulators stay in registers, where one 8×32 accumulator would
+//!   spill.
+//!
+//! `arm()` picks the arm once per process from runtime CPU detection;
+//! `WM_FORCE_SCALAR` (any value other than empty or `0`) and
+//! [`set_force_scalar`] pin the scalar arm.
 //!
 //! # Bit-identity
 //!
 //! The numerical contract ([`crate::gemm::reference`]) is: per output
 //! element, contributions fold onto the resident `C` value in strictly
 //! increasing `p` order via `f32::mul_add` (fused, single rounding).
-//! Every kernel here vectorizes across **output columns** — eight
-//! independent accumulation chains per vector — so each lane still
-//! walks its own element's contraction in increasing `p` order. The
-//! vector step is `_mm256_fmadd_ps`, which is lane-wise exactly the
-//! scalar `f32::mul_add` (one IEEE-754 rounding per step), so the
-//! vector kernels are bit-identical to the scalar ones: same summands,
-//! same order, same rounding. A dot-product-style vectorization along
-//! `p` (horizontal reduction) would *not* have this property, which is
-//! why the narrow `nt` kernel transposes 8×8 blocks of `B` into
-//! column-major registers instead of reducing along rows.
+//! Every arm vectorizes across **output columns**, so each lane walks
+//! its own element's contraction in increasing `p` order, and
+//! `_mm512_fmadd_ps` / `_mm256_fmadd_ps` are lane-wise exactly
+//! `f32::mul_add`. The arms are therefore bit-identical to each other
+//! and to the reference: same summands, same order, same rounding. A
+//! dot-product-style vectorization along `p` (horizontal reduction)
+//! would *not* have this property, which is why the narrow `nt` kernel
+//! transposes 8×8 blocks of `B` into column-major registers instead of
+//! reducing along rows.
 //!
-//! Tail handling never changes element order either: partial widths
-//! fall back to scalar `f32::mul_add` chains over the same `p` range,
-//! and the `k % 8` remainder of the narrow `nt` kernel finishes each
-//! lane serially after the vector prefix.
+//! Padded lanes (rows `>= mr`, columns `>= nr`) accumulate whatever the
+//! packed panels hold there and are never stored.
 
 // Deny-by-default in the crate root; raw-pointer vector loads/stores
 // with hoisted bounds proofs are this module's documented exception.
@@ -33,42 +42,60 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Dispatch state: detection has not run yet.
-const UNINIT: u8 = 0;
-/// Dispatch state: run the portable scalar kernels.
-const SCALAR: u8 = 1;
-/// Dispatch state: run the AVX2 kernels.
-const SIMD: u8 = 2;
+use crate::gemm::{MR, NR};
 
-/// Latched dispatch decision (`UNINIT` until the first kernel call).
-static STATE: AtomicU8 = AtomicU8::new(UNINIT);
+/// Rows of one scalar / AVX2 sub-tile.
+const SR: usize = 4;
+/// Columns of one scalar / AVX2 sub-tile.
+const SC: usize = 16;
 
-/// Whether the vector kernels are active for this process.
-///
-/// First call probes the CPU (AVX2 + FMA via
-/// `is_x86_feature_detected!`) and the `WM_FORCE_SCALAR` environment
-/// variable (any value other than empty or `0` forces the scalar
-/// path); the decision is latched so the hot-path check is one relaxed
-/// atomic load.
+/// One implementation of the `MR`×`NR` register-tile contract.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Arm {
+    /// Portable safe code.
+    Scalar = 1,
+    /// AVX2 + FMA intrinsics.
+    Avx2 = 2,
+    /// AVX-512F intrinsics (the host also has AVX2 + FMA).
+    Avx512 = 3,
+}
+
+/// Latched dispatch decision: `0` until the first call, else an [`Arm`].
+static STATE: AtomicU8 = AtomicU8::new(0);
+
+/// The arm this process runs, latched on first use. The hot path reads
+/// it with one relaxed atomic load per GEMM call.
 #[inline]
-pub fn active() -> bool {
+pub(crate) fn arm() -> Arm {
     match STATE.load(Ordering::Relaxed) {
-        UNINIT => {
-            let on = !force_scalar_env() && hardware_supported();
-            STATE.store(if on { SIMD } else { SCALAR }, Ordering::Relaxed);
-            on
+        1 => Arm::Scalar,
+        2 => Arm::Avx2,
+        3 => Arm::Avx512,
+        _ => {
+            let arm = if force_scalar_env() { Arm::Scalar } else { detect() };
+            STATE.store(arm as u8, Ordering::Relaxed);
+            arm
         }
-        state => state == SIMD,
     }
 }
 
-/// Force the scalar kernels on (`true`) or re-enable hardware
-/// detection (`false`), overriding both the latched decision and the
+/// Whether a vector arm (AVX-512F or AVX2) is active for this process.
+///
+/// First call probes the CPU (`is_x86_feature_detected!`) and the
+/// `WM_FORCE_SCALAR` environment variable (any value other than empty
+/// or `0` forces the scalar arm); the decision is latched.
+#[inline]
+pub fn active() -> bool {
+    arm() != Arm::Scalar
+}
+
+/// Force the scalar arm on (`true`) or re-enable hardware detection
+/// (`false`), overriding both the latched decision and the
 /// `WM_FORCE_SCALAR` environment variable. Intended for tests and
-/// benchmarks that compare the two paths in one process.
+/// benchmarks that compare the arms in one process.
 pub fn set_force_scalar(on: bool) {
-    let state = if !on && hardware_supported() { SIMD } else { SCALAR };
-    STATE.store(state, Ordering::Relaxed);
+    let arm = if on { Arm::Scalar } else { detect() };
+    STATE.store(arm as u8, Ordering::Relaxed);
 }
 
 /// `WM_FORCE_SCALAR` is set to something truthy.
@@ -76,145 +103,36 @@ fn force_scalar_env() -> bool {
     std::env::var_os("WM_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != *"0")
 }
 
-/// The CPU this process runs on can execute the vector kernels.
+/// The fastest arm the CPU this process runs on can execute.
 #[cfg(target_arch = "x86_64")]
-fn hardware_supported() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+fn detect() -> Arm {
+    use std::arch::is_x86_feature_detected as has;
+    match (has!("avx2") && has!("fma"), has!("avx512f")) {
+        (true, true) => Arm::Avx512,
+        (true, false) => Arm::Avx2,
+        _ => Arm::Scalar,
+    }
 }
 
-/// The CPU this process runs on can execute the vector kernels.
+/// The fastest arm the CPU this process runs on can execute.
 #[cfg(not(target_arch = "x86_64"))]
-fn hardware_supported() -> bool {
-    false
+fn detect() -> Arm {
+    Arm::Scalar
 }
 
-/// Vector [`crate::gemm`] microkernel step: returns `true` if the AVX2
-/// tile kernel ran, `false` if the caller must run the scalar one.
-#[inline]
-pub(crate) fn microkernel(
-    kc: usize,
-    ap: &[f32],
-    bp: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if active() {
-        // SAFETY: `active()` is true only after AVX2+FMA detection.
-        unsafe { avx2::microkernel(kc, ap, bp, c, ldc, mr, nr) };
-        return true;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (kc, ap, bp, c, ldc, mr, nr);
-    false
-}
-
-/// Rows per vector thin-`k` sweep group. Six rows × two vectors keeps
-/// twelve accumulators live (under the 16 `ymm` registers) while every
-/// `B` load feeds six fused multiply-adds, so the sweep is FMA-bound
-/// rather than load-bound.
-#[cfg(target_arch = "x86_64")]
-const THIN_ROWS: usize = 6;
-
-/// Vector thin-`k` kernel for one `C` row block: gathers all `mb` `A`
-/// rows once via `gather(row_in_block, dest)`, then walks **column
-/// strips in the outer loop** and row groups of [`THIN_ROWS`] inside.
-/// One 16-wide `B` strip (`k` cache lines) is re-used by every row
-/// group while L1-hot, so `B` streams in from L2 once per row block
-/// instead of once per group. Returns `true` if the AVX2 kernel ran,
-/// `false` if the caller must run the scalar row-pair sweep. Both the
-/// row grouping (6 vs 2) and the strip visit order differ from the
-/// scalar path, but each output element's accumulation chain is
-/// independent and unchanged, so results stay bit-identical.
-#[inline]
-pub(crate) fn thin_block(
-    k: usize,
-    n: usize,
-    mb: usize,
-    b: &[f32],
-    c_block: &mut [f32],
-    gather: impl Fn(usize, &mut [f32; crate::gemm::THIN_K]),
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if active() && mb <= crate::gemm::MC {
-        let mut a_rows = [[0.0f32; crate::gemm::THIN_K]; crate::gemm::MC];
-        for (r, a_row) in a_rows.iter_mut().enumerate().take(mb) {
-            gather(r, a_row);
-        }
-        // SAFETY: `active()` is true only after AVX2+FMA detection.
-        unsafe { avx2::thin_strips(k, n, mb, &a_rows, b, c_block) };
-        return true;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (k, n, mb, b, c_block, &gather);
-    false
-}
-
-/// Vector narrow `A·Bᵀ` kernel (`m <= 2`): returns `true` if the AVX2
-/// kernel ran.
-#[inline]
-pub(crate) fn nt_narrow(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if active() {
-        // SAFETY: `active()` is true only after AVX2+FMA detection.
-        unsafe {
-            if m == 2 {
-                avx2::nt_narrow::<2>(k, n, a, b, c);
-            } else {
-                avx2::nt_narrow::<1>(k, n, a, b, c);
-            }
-        }
-        return true;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (m, k, n, a, b, c);
-    false
-}
-
-/// Vector packing of a transposed (`[n,k]`) `B` operand into column
-/// panels: returns `true` if the AVX2 kernel ran. Pure data movement —
-/// trivially bit-identical, but the scalar scatter is the single
-/// hottest non-FLOP loop of the `nt` path.
-#[inline]
-pub(crate) fn pack_b_transposed(bp: &mut [f32], b: &[f32], k: usize, n: usize) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if active() {
-        // SAFETY: `active()` is true only after AVX2+FMA detection.
-        unsafe { avx2::pack_b_transposed(bp, b, k, n) };
-        return true;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (bp, b, k, n);
-    false
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use std::arch::x86_64::{
-        __m256, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_permute2f128_ps, _mm256_set1_ps,
-        _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_unpackhi_ps,
-        _mm256_unpacklo_ps,
-    };
-
-    use super::THIN_ROWS;
-    use crate::gemm::{MR, NR, NTW, THIN_K};
-
-    /// AVX2 `MR`×`NR` register tile, bit-identical to
-    /// [`crate::gemm`]'s scalar microkernel: `C` is staged into a
-    /// zero-padded `MR`×`NR` tile so every vector op runs full-width
-    /// (pad lanes accumulate the packers' zero-filled slots and are
-    /// never stored), and each of the `MR`×2 accumulators folds the
-    /// `kc` strip in increasing `p` order with one fused step per `p`.
+impl Arm {
+    /// One register tile: `C[r, j] += Σ_p ap[p·MR + r] · bp[p·NR + j]`
+    /// for `r < mr`, `j < nr`, folded over `p = 0..kc` in increasing
+    /// order. `ap` is a packed `[p][MR]` `A` panel, `bp` a packed
+    /// `[p][NR]` `B` panel, and `C` row `r` starts at `c[r * ldc]`.
     ///
-    /// # Safety
+    /// # Panics
     ///
-    /// Caller must ensure AVX2 + FMA are available. Slice bounds are
-    /// checked here: `ap`/`bp` are re-sliced to their packed lengths
-    /// and `c` rows are staged through the tile with safe copies.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn microkernel(
+    /// Panics if `ap`, `bp` or `c` is shorter than that implies.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn tile(
+        self,
         kc: usize,
         ap: &[f32],
         bp: &[f32],
@@ -225,210 +143,320 @@ mod avx2 {
     ) {
         let ap = &ap[..kc * MR];
         let bp = &bp[..kc * NR];
-        if mr == MR && nr == NR {
-            // Full tile (the overwhelmingly common case): accumulate
-            // straight from/to `C`, no staging copies.
-            let _ = &c[..(MR - 1) * ldc + NR]; // hoisted bounds proof
-            let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                acc_r[0] = _mm256_loadu_ps(c.as_ptr().add(r * ldc));
-                acc_r[1] = _mm256_loadu_ps(c.as_ptr().add(r * ldc + 8));
-            }
-            for p in 0..kc {
-                // In bounds: p < kc, so p*NR + 15 < kc*NR = bp.len()
-                // and p*MR + MR - 1 < kc*MR = ap.len().
-                let b0 = _mm256_loadu_ps(bp.as_ptr().add(p * NR));
-                let b1 = _mm256_loadu_ps(bp.as_ptr().add(p * NR + 8));
-                for (r, acc_r) in acc.iter_mut().enumerate() {
-                    let a = _mm256_set1_ps(*ap.get_unchecked(p * MR + r));
-                    acc_r[0] = _mm256_fmadd_ps(a, b0, acc_r[0]);
-                    acc_r[1] = _mm256_fmadd_ps(a, b1, acc_r[1]);
+        let c = &mut c[..(mr - 1) * ldc + nr];
+        match self {
+            // SAFETY: the vector arms are latched only after their
+            // runtime feature detection; the slices above cover every
+            // access the kernels make.
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx512 => unsafe { avx512::tile(kc, ap, bp, c, ldc, mr, nr) },
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx2 => unsafe { avx2::tile(kc, ap, bp, c, ldc, mr, nr) },
+            _ => scalar_tile(kc, ap, bp, c, ldc, mr, nr),
+        }
+    }
+
+    /// Packs the 8×8-aligned block of one strip of a transposed
+    /// (`[n,k]`) `B` operand with `w = cols.len() / k` columns:
+    /// `strip[p·NR + jr] = cols[jr·k + p0 + p]` for every `p < rows =
+    /// kc - kc % 8` and `jr < done = w - w % 8`, moving 8×8 blocks
+    /// through a transpose instead of an element scatter. Returns
+    /// `(rows, done)`; the caller packs the rest.
+    #[inline]
+    pub(crate) fn pack_strip_transposed(
+        self,
+        strip: &mut [f32],
+        cols: &[f32],
+        k: usize,
+        p0: usize,
+        kc: usize,
+    ) -> (usize, usize) {
+        let w = cols.len() / k;
+        let (rows, done) = (kc - kc % 8, w - w % 8);
+        assert!(p0 + kc <= k && w <= NR && strip.len() >= rows * NR);
+        match self {
+            // SAFETY: both vector arms imply AVX2 (see `detect`); the
+            // assert above covers every access.
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx512 | Arm::Avx2 => unsafe {
+                avx2::pack_strip_transposed(strip, cols, k, p0, rows, done);
+            },
+            _ => {
+                for pb in (0..rows).step_by(8) {
+                    for q in (0..done).step_by(8) {
+                        let block: [&[f32; 8]; 8] = std::array::from_fn(|r| {
+                            cols[(q + r) * k + p0 + pb..][..8].try_into().expect("8 floats")
+                        });
+                        for (pp, dst) in strip[pb * NR..].chunks_exact_mut(NR).take(8).enumerate() {
+                            for (slot, src) in dst[q..q + 8].iter_mut().zip(block) {
+                                *slot = src[pp];
+                            }
+                        }
+                    }
                 }
             }
-            for (r, acc_r) in acc.iter().enumerate() {
-                _mm256_storeu_ps(c.as_mut_ptr().add(r * ldc), acc_r[0]);
-                _mm256_storeu_ps(c.as_mut_ptr().add(r * ldc + 8), acc_r[1]);
+        }
+        (rows, done)
+    }
+
+    /// Vector narrow `A·Bᵀ` kernel (`m <= 2`): returns `true` if it
+    /// ran, `false` if the caller must run the scalar one.
+    #[inline]
+    pub(crate) fn nt_narrow(
+        self,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+    ) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if self != Arm::Scalar {
+            // SAFETY: both vector arms imply AVX2 + FMA (see `detect`).
+            unsafe {
+                if m == 2 {
+                    avx2::nt_narrow::<2>(k, n, a, b, c);
+                } else {
+                    avx2::nt_narrow::<1>(k, n, a, b, c);
+                }
             }
-            return;
+            return true;
         }
-        // Edge tile: stage `C` through a zero-padded MR×NR tile so the
-        // vector loop still runs full-width (pad lanes accumulate the
-        // packers' zero-filled slots and are never stored).
-        let mut tile = [[0.0f32; NR]; MR];
-        for r in 0..mr {
-            tile[r][..nr].copy_from_slice(&c[r * ldc..r * ldc + nr]);
+        let _ = (m, k, n, a, b, c);
+        false
+    }
+}
+
+/// Scalar arm of [`Arm::tile`]: the tile as `SR`×`SC` sub-tiles.
+fn scalar_tile(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, mr: usize, nr: usize) {
+    if mr == MR && nr == NR {
+        // Full tile: constant sub-tile offsets and sizes let every
+        // bound and edge branch fold away.
+        for (r0, j0) in [(0, 0), (0, SC), (SR, 0), (SR, SC)] {
+            scalar_sub(kc, ap, bp, r0, j0, &mut c[r0 * ldc + j0..], ldc, SR, SC);
         }
-        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-        for r in 0..MR {
-            acc[r][0] = _mm256_loadu_ps(tile[r].as_ptr());
-            acc[r][1] = _mm256_loadu_ps(tile[r].as_ptr().add(8));
+        return;
+    }
+    for r0 in (0..mr).step_by(SR) {
+        for j0 in (0..nr).step_by(SC) {
+            let (sr, sc) = ((mr - r0).min(SR), (nr - j0).min(SC));
+            scalar_sub(kc, ap, bp, r0, j0, &mut c[r0 * ldc + j0..], ldc, sr, sc);
+        }
+    }
+}
+
+/// One `SR`×`SC` sub-tile of [`scalar_tile`] at packed row `r0` and
+/// column `j0`, storing its `sr`×`sc` corner.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn scalar_sub(
+    kc: usize,
+    ap: &[f32],
+    bp: &[f32],
+    r0: usize,
+    j0: usize,
+    c: &mut [f32],
+    ldc: usize,
+    sr: usize,
+    sc: usize,
+) {
+    // Hoisted bounds proof: every per-`p` slice below is in range.
+    assert!(r0 + SR <= MR && j0 + SC <= NR);
+    let (ap, bp) = (ap.as_chunks::<MR>().0, bp.as_chunks::<NR>().0);
+    let mut acc = [[0.0f32; SC]; SR];
+    for (r, acc_r) in acc.iter_mut().enumerate().take(sr) {
+        if sc == SC {
+            *acc_r = c[r * ldc..r * ldc + SC].try_into().expect("C row");
+        } else {
+            acc_r[..sc].copy_from_slice(&c[r * ldc..r * ldc + sc]);
+        }
+    }
+    for (a_p, b_p) in ap[..kc].iter().zip(&bp[..kc]) {
+        let av: &[f32; SR] = a_p[r0..r0 + SR].try_into().expect("A sub-row");
+        let bv: &[f32; SC] = b_p[j0..j0 + SC].try_into().expect("B sub-row");
+        for (acc_r, &a) in acc.iter_mut().zip(av) {
+            for (slot, &bj) in acc_r.iter_mut().zip(bv) {
+                *slot = a.mul_add(bj, *slot);
+            }
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate().take(sr) {
+        c[r * ldc..r * ldc + sc].copy_from_slice(&acc_r[..sc]);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::{
+        __mmask16, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps,
+        _mm512_set1_ps, _mm512_setzero_ps,
+    };
+
+    use crate::gemm::{MR, NR};
+
+    /// AVX-512F arm of [`super::Arm::tile`]. Dispatches on `mr` so an
+    /// edge tile of `R` rows keeps `2R` accumulators and does no work
+    /// for its padded rows.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F available; `ap.len() >= kc*MR`, `bp.len() >= kc*NR`,
+    /// `c.len() >= (mr-1)*ldc + nr`, `1 <= mr <= MR`, `1 <= nr <= NR`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn tile(
+        kc: usize,
+        ap: &[f32],
+        bp: &[f32],
+        c: &mut [f32],
+        ldc: usize,
+        mr: usize,
+        nr: usize,
+    ) {
+        // Lane masks of the two 16-wide column halves.
+        let bits = u32::MAX >> (NR - nr);
+        let masks = [bits as __mmask16, (bits >> 16) as __mmask16];
+        match mr {
+            8 => rows::<8>(kc, ap, bp, c, ldc, masks),
+            7 => rows::<7>(kc, ap, bp, c, ldc, masks),
+            6 => rows::<6>(kc, ap, bp, c, ldc, masks),
+            5 => rows::<5>(kc, ap, bp, c, ldc, masks),
+            4 => rows::<4>(kc, ap, bp, c, ldc, masks),
+            3 => rows::<3>(kc, ap, bp, c, ldc, masks),
+            2 => rows::<2>(kc, ap, bp, c, ldc, masks),
+            _ => rows::<1>(kc, ap, bp, c, ldc, masks),
+        }
+    }
+
+    /// `R` rows × two 16-lane vectors of one tile. Masked-off lanes are
+    /// neither loaded (they start at zero) nor stored.
+    ///
+    /// # Safety
+    ///
+    /// As [`tile`], with `mr == R` and `masks` covering `nr` lanes.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn rows<const R: usize>(
+        kc: usize,
+        ap: &[f32],
+        bp: &[f32],
+        c: &mut [f32],
+        ldc: usize,
+        masks: [__mmask16; 2],
+    ) {
+        const { assert!(R >= 1 && R <= MR) };
+        let mut acc = [[_mm512_setzero_ps(); 2]; R];
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            for (h, slot) in acc_r.iter_mut().enumerate() {
+                // Masked-off lanes are never touched, so the address
+                // may run past `c` when `nr <= 16`.
+                *slot = _mm512_maskz_loadu_ps(masks[h], c.as_ptr().wrapping_add(r * ldc + h * 16));
+            }
         }
         for p in 0..kc {
-            let b0 = _mm256_loadu_ps(bp.as_ptr().add(p * NR));
-            let b1 = _mm256_loadu_ps(bp.as_ptr().add(p * NR + 8));
+            // In bounds: p < kc, so p*NR + 31 < bp.len() and
+            // p*MR + R - 1 < ap.len().
+            let b0 = _mm512_loadu_ps(bp.as_ptr().add(p * NR));
+            let b1 = _mm512_loadu_ps(bp.as_ptr().add(p * NR + 16));
             for (r, acc_r) in acc.iter_mut().enumerate() {
-                let a = _mm256_set1_ps(*ap.get_unchecked(p * MR + r));
-                acc_r[0] = _mm256_fmadd_ps(a, b0, acc_r[0]);
-                acc_r[1] = _mm256_fmadd_ps(a, b1, acc_r[1]);
+                let a = _mm512_set1_ps(*ap.get_unchecked(p * MR + r));
+                acc_r[0] = _mm512_fmadd_ps(a, b0, acc_r[0]);
+                acc_r[1] = _mm512_fmadd_ps(a, b1, acc_r[1]);
             }
         }
-        for r in 0..mr {
-            _mm256_storeu_ps(tile[r].as_mut_ptr(), acc[r][0]);
-            _mm256_storeu_ps(tile[r].as_mut_ptr().add(8), acc[r][1]);
-            c[r * ldc..r * ldc + nr].copy_from_slice(&tile[r][..nr]);
+        for (r, acc_r) in acc.iter().enumerate() {
+            for (h, &v) in acc_r.iter().enumerate() {
+                _mm512_mask_storeu_ps(c.as_mut_ptr().wrapping_add(r * ldc + h * 16), masks[h], v);
+            }
         }
     }
+}
 
-    /// AVX2 thin-`k` sweep over one `C` row block, bit-identical to
-    /// the scalar `thin_sweep`: 16-wide column strips in the outer
-    /// loop, row groups of up to [`THIN_ROWS`] inside (so each strip's
-    /// `k` cache lines of `B` are re-used L1-hot by every group); the
-    /// `n % 16` tail runs an 8-wide chunk and then scalar lanes, every
-    /// element still folding its contraction in increasing `p` order.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::{
+        __m256, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_permute2f128_ps, _mm256_set1_ps,
+        _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_unpackhi_ps,
+        _mm256_unpacklo_ps,
+    };
+
+    use super::{SC, SR};
+    use crate::gemm::{MR, NR, NTW};
+
+    /// AVX2 arm of [`super::Arm::tile`]: the tile as `SR`×`SC` = 4×16
+    /// sub-tiles. Full sub-tiles accumulate straight from/to `C`; edge
+    /// sub-tiles are staged through a zero-padded 4×16 tile so the
+    /// vector loop still runs full-width.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX2 + FMA are available, `b.len() >= k*n`,
-    /// `c_block.len() >= mb*n` (both re-sliced below), and
-    /// `a_rows.len() >= mb`.
+    /// AVX2 + FMA available; `ap.len() >= kc*MR`, `bp.len() >= kc*NR`,
+    /// `c.len() >= (mr-1)*ldc + nr`, `mr <= MR`, `nr <= NR`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn thin_strips(
-        k: usize,
-        n: usize,
-        mb: usize,
-        a_rows: &[[f32; THIN_K]],
-        b: &[f32],
-        c_block: &mut [f32],
+    pub(super) unsafe fn tile(
+        kc: usize,
+        ap: &[f32],
+        bp: &[f32],
+        c: &mut [f32],
+        ldc: usize,
+        mr: usize,
+        nr: usize,
     ) {
-        let b = &b[..k * n];
-        let c_block = &mut c_block[..mb * n];
-        assert!(a_rows.len() >= mb);
-        let mut j0 = 0;
-        while j0 + 16 <= n {
-            let mut r = 0;
-            while r < mb {
-                let rows = (mb - r).min(THIN_ROWS);
-                let a_group = &a_rows[r..];
-                let c_rows = &mut c_block[r * n..];
-                match rows {
-                    6 => strip16::<6>(k, n, j0, a_group, b, c_rows),
-                    5 => strip16::<5>(k, n, j0, a_group, b, c_rows),
-                    4 => strip16::<4>(k, n, j0, a_group, b, c_rows),
-                    3 => strip16::<3>(k, n, j0, a_group, b, c_rows),
-                    2 => strip16::<2>(k, n, j0, a_group, b, c_rows),
-                    _ => strip16::<1>(k, n, j0, a_group, b, c_rows),
+        for r0 in (0..mr).step_by(SR) {
+            for j0 in (0..nr).step_by(SC) {
+                let (sr, sc) = ((mr - r0).min(SR), (nr - j0).min(SC));
+                let c = &mut c[r0 * ldc + j0..];
+                if sr == SR && sc == SC {
+                    let _ = &c[..(SR - 1) * ldc + SC]; // hoisted bounds proof
+                    sub(kc, ap, bp, r0, j0, c.as_mut_ptr(), ldc);
+                } else {
+                    let mut staged = [[0.0f32; SC]; SR];
+                    for r in 0..sr {
+                        staged[r][..sc].copy_from_slice(&c[r * ldc..r * ldc + sc]);
+                    }
+                    sub(kc, ap, bp, r0, j0, staged.as_mut_ptr().cast(), SC);
+                    for r in 0..sr {
+                        c[r * ldc..r * ldc + sc].copy_from_slice(&staged[r][..sc]);
+                    }
                 }
-                r += rows;
-            }
-            j0 += 16;
-        }
-        if j0 + 8 <= n {
-            let mut r = 0;
-            while r < mb {
-                let rows = (mb - r).min(THIN_ROWS);
-                let a_group = &a_rows[r..];
-                let c_rows = &mut c_block[r * n..];
-                match rows {
-                    6 => strip8::<6>(k, n, j0, a_group, b, c_rows),
-                    5 => strip8::<5>(k, n, j0, a_group, b, c_rows),
-                    4 => strip8::<4>(k, n, j0, a_group, b, c_rows),
-                    3 => strip8::<3>(k, n, j0, a_group, b, c_rows),
-                    2 => strip8::<2>(k, n, j0, a_group, b, c_rows),
-                    _ => strip8::<1>(k, n, j0, a_group, b, c_rows),
-                }
-                r += rows;
-            }
-            j0 += 8;
-        }
-        for j in j0..n {
-            for r in 0..mb {
-                let mut slot = c_block[r * n + j];
-                let a_row = &a_rows[r];
-                for p in 0..k {
-                    slot = a_row[p].mul_add(b[p * n + j], slot);
-                }
-                c_block[r * n + j] = slot;
             }
         }
     }
 
-    /// One 16-wide strip of [`thin_strips`]: `ROWS` `C` rows × two
-    /// vectors accumulate the whole contraction, every `B` load
-    /// feeding `ROWS` fused multiply-adds.
+    /// One full 4×16 sub-tile at packed row `r0` and column `j0`.
     ///
     /// # Safety
     ///
-    /// AVX2 + FMA available; `j0 + 16 <= n`, `b.len() >= k*n`,
-    /// `c_rows.len() >= ROWS*n`, `a_rows.len() >= ROWS`.
+    /// AVX2 + FMA available; `c` valid for `SR` rows of `SC` floats at
+    /// stride `ldc`; `r0 + SR <= MR`, `j0 + SC <= NR`, and the panels
+    /// hold `kc` strides.
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn strip16<const ROWS: usize>(
-        k: usize,
-        n: usize,
+    unsafe fn sub(
+        kc: usize,
+        ap: &[f32],
+        bp: &[f32],
+        r0: usize,
         j0: usize,
-        a_rows: &[[f32; THIN_K]],
-        b: &[f32],
-        c_rows: &mut [f32],
+        c: *mut f32,
+        ldc: usize,
     ) {
-        const { assert!(ROWS >= 1 && ROWS <= THIN_ROWS) };
-        // Hoisted bounds proofs for the raw loads/stores below: the
-        // deepest C access is (ROWS-1)*n + j0 + 16 <= ROWS*n, the
-        // deepest B access (k-1)*n + j0 + 16 <= k*n.
-        let _ = &c_rows[..(ROWS - 1) * n + j0 + 16];
-        let _ = &b[..k * n];
-        let _ = &a_rows[..ROWS];
-        let mut acc = [[_mm256_setzero_ps(); 2]; ROWS];
+        let mut acc = [[_mm256_setzero_ps(); 2]; SR];
         for (r, acc_r) in acc.iter_mut().enumerate() {
-            acc_r[0] = _mm256_loadu_ps(c_rows.as_ptr().add(r * n + j0));
-            acc_r[1] = _mm256_loadu_ps(c_rows.as_ptr().add(r * n + j0 + 8));
+            acc_r[0] = _mm256_loadu_ps(c.add(r * ldc));
+            acc_r[1] = _mm256_loadu_ps(c.add(r * ldc + 8));
         }
-        for p in 0..k {
-            let base = b.as_ptr().add(p * n + j0);
-            let b0 = _mm256_loadu_ps(base);
-            let b1 = _mm256_loadu_ps(base.add(8));
+        for p in 0..kc {
+            // In bounds: p*NR + j0 + 15 < kc*NR and p*MR + r0 + 3 < kc*MR.
+            let b0 = _mm256_loadu_ps(bp.as_ptr().add(p * NR + j0));
+            let b1 = _mm256_loadu_ps(bp.as_ptr().add(p * NR + j0 + 8));
             for (r, acc_r) in acc.iter_mut().enumerate() {
-                let a = _mm256_set1_ps(*a_rows.get_unchecked(r).get_unchecked(p));
+                let a = _mm256_set1_ps(*ap.get_unchecked(p * MR + r0 + r));
                 acc_r[0] = _mm256_fmadd_ps(a, b0, acc_r[0]);
                 acc_r[1] = _mm256_fmadd_ps(a, b1, acc_r[1]);
             }
         }
         for (r, acc_r) in acc.iter().enumerate() {
-            _mm256_storeu_ps(c_rows.as_mut_ptr().add(r * n + j0), acc_r[0]);
-            _mm256_storeu_ps(c_rows.as_mut_ptr().add(r * n + j0 + 8), acc_r[1]);
-        }
-    }
-
-    /// One 8-wide strip of [`thin_strips`] (the `n % 16 >= 8` tail).
-    ///
-    /// # Safety
-    ///
-    /// AVX2 + FMA available; `j0 + 8 <= n`, `b.len() >= k*n`,
-    /// `c_rows.len() >= ROWS*n`, `a_rows.len() >= ROWS`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn strip8<const ROWS: usize>(
-        k: usize,
-        n: usize,
-        j0: usize,
-        a_rows: &[[f32; THIN_K]],
-        b: &[f32],
-        c_rows: &mut [f32],
-    ) {
-        const { assert!(ROWS >= 1 && ROWS <= THIN_ROWS) };
-        let _ = &c_rows[..(ROWS - 1) * n + j0 + 8];
-        let _ = &b[..k * n];
-        let _ = &a_rows[..ROWS];
-        let mut acc = [_mm256_setzero_ps(); ROWS];
-        for (r, slot) in acc.iter_mut().enumerate() {
-            *slot = _mm256_loadu_ps(c_rows.as_ptr().add(r * n + j0));
-        }
-        for p in 0..k {
-            let bv = _mm256_loadu_ps(b.as_ptr().add(p * n + j0));
-            for (r, slot) in acc.iter_mut().enumerate() {
-                let a = _mm256_set1_ps(*a_rows.get_unchecked(r).get_unchecked(p));
-                *slot = _mm256_fmadd_ps(a, bv, *slot);
-            }
-        }
-        for (r, &slot) in acc.iter().enumerate() {
-            _mm256_storeu_ps(c_rows.as_mut_ptr().add(r * n + j0), slot);
+            _mm256_storeu_ps(c.add(r * ldc), acc_r[0]);
+            _mm256_storeu_ps(c.add(r * ldc + 8), acc_r[1]);
         }
     }
 
@@ -517,67 +545,32 @@ mod avx2 {
         }
     }
 
-    /// AVX2 packing of a `[n,k]` (transposed) `B` into `[panel][p][jr]`
-    /// column panels: full panels move 8×8 blocks through in-register
-    /// transposes instead of the scalar element scatter; `k % 8` and
-    /// the partial last panel take the scalar path (with zero-filled
-    /// pad lanes, exactly like the scalar packer).
+    /// AVX2 body of [`super::Arm::pack_strip_transposed`]: moves 8×8
+    /// blocks through in-register transposes instead of an element
+    /// scatter, for `p < rows` and `jr < cols` (both multiples of 8).
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX2 is available, `b.len() >= n*k`, and
-    /// `bp.len() >= n.div_ceil(NR)*k*NR`.
+    /// AVX2 available, `strip.len() >= rows*NR`, `cols <= NR`,
+    /// `src.len() >= cols*k`, `p0 + rows <= k`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn pack_b_transposed(bp: &mut [f32], b: &[f32], k: usize, n: usize) {
-        let n_panels = n.div_ceil(NR);
-        let b = &b[..n * k];
-        let bp = &mut bp[..n_panels * k * NR];
-        for jp in 0..n_panels {
-            let j0 = jp * NR;
-            let w = NR.min(n - j0);
-            if w == NR {
-                let mut p0 = 0;
-                while p0 + 8 <= k {
-                    for half in 0..2 {
-                        // In bounds: the deepest load ends at
-                        // (j0 + half*8 + 7)*k + p0 + 8 <= (j0+16)*k <=
-                        // n*k; the deepest store at
-                        // (jp*k + p0 + 7)*NR + half*8 + 8 <=
-                        // (jp+1)*k*NR <= bp.len().
-                        let src = b.as_ptr().add((j0 + half * 8) * k + p0);
-                        let t = transpose8([
-                            _mm256_loadu_ps(src),
-                            _mm256_loadu_ps(src.add(k)),
-                            _mm256_loadu_ps(src.add(2 * k)),
-                            _mm256_loadu_ps(src.add(3 * k)),
-                            _mm256_loadu_ps(src.add(4 * k)),
-                            _mm256_loadu_ps(src.add(5 * k)),
-                            _mm256_loadu_ps(src.add(6 * k)),
-                            _mm256_loadu_ps(src.add(7 * k)),
-                        ]);
-                        for (pp, &row) in t.iter().enumerate() {
-                            let dst = bp.as_mut_ptr().add((jp * k + p0 + pp) * NR + half * 8);
-                            _mm256_storeu_ps(dst, row);
-                        }
-                    }
-                    p0 += 8;
-                }
-                for jr in 0..NR {
-                    let col = &b[(j0 + jr) * k..(j0 + jr + 1) * k];
-                    for p in p0..k {
-                        bp[(jp * k + p) * NR + jr] = col[p];
-                    }
-                }
-            } else {
-                for p in 0..k {
-                    let dst = (jp * k + p) * NR;
-                    bp[dst + w..dst + NR].fill(0.0);
-                }
-                for jr in 0..w {
-                    let col = &b[(j0 + jr) * k..(j0 + jr + 1) * k];
-                    for (p, &v) in col.iter().enumerate() {
-                        bp[(jp * k + p) * NR + jr] = v;
-                    }
+    pub(super) unsafe fn pack_strip_transposed(
+        strip: &mut [f32],
+        src: &[f32],
+        k: usize,
+        p0: usize,
+        rows: usize,
+        cols: usize,
+    ) {
+        for pb in (0..rows).step_by(8) {
+            for q in (0..cols).step_by(8) {
+                // In bounds: the deepest load ends at
+                // (q + 7)*k + p0 + pb + 8 <= cols*k, the deepest store
+                // at (pb + 7)*NR + q + 8 <= rows*NR.
+                let base = src.as_ptr().add(q * k + p0 + pb);
+                let t = transpose8(std::array::from_fn(|r| _mm256_loadu_ps(base.add(r * k))));
+                for (pp, &row) in t.iter().enumerate() {
+                    _mm256_storeu_ps(strip.as_mut_ptr().add((pb + pp) * NR + q), row);
                 }
             }
         }
@@ -614,5 +607,72 @@ mod avx2 {
             _mm256_permute2f128_ps::<0x31>(s2, s6),
             _mm256_permute2f128_ps::<0x31>(s3, s7),
         ]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rand_vec(len: usize, seed: u64) -> Vec<f32> {
+        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5
+            })
+            .collect()
+    }
+
+    /// Every arm this CPU can run, scalar first.
+    fn supported_arms() -> Vec<Arm> {
+        let mut arms = vec![Arm::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            if has!("avx2") && has!("fma") {
+                arms.push(Arm::Avx2);
+                if has!("avx512f") {
+                    arms.push(Arm::Avx512);
+                }
+            }
+        }
+        arms
+    }
+
+    /// Each arm's tile, run directly (whatever `arm()` latched), is
+    /// bitwise equal to a per-element `mul_add` fold over random packed
+    /// panels, for every edge-tile height and width and for strips
+    /// around the vector and `KC` boundaries. The pad lanes of the
+    /// panels hold random values too, so a pad lane that leaks into a
+    /// stored element fails the comparison, and `C` past the tile
+    /// (row stride `ldc > nr`) must come back untouched.
+    #[test]
+    fn every_arm_tile_is_bit_identical_to_scalar_fold() {
+        let ldc = NR + 3;
+        for kc in [1, 7, 8, 255, 256] {
+            let ap = rand_vec(kc * MR, kc as u64);
+            let bp = rand_vec(kc * NR, kc as u64 ^ 0x9e37);
+            for mr in 1..=MR {
+                for nr in [1, 15, 16, 17, 31, 32] {
+                    let c0 = rand_vec(MR * ldc, (mr * 64 + nr) as u64);
+                    let mut expect = c0.clone();
+                    for r in 0..mr {
+                        for j in 0..nr {
+                            let slot = &mut expect[r * ldc + j];
+                            for p in 0..kc {
+                                *slot = ap[p * MR + r].mul_add(bp[p * NR + j], *slot);
+                            }
+                        }
+                    }
+                    for arm in supported_arms() {
+                        let mut c = c0.clone();
+                        let len = (mr - 1) * ldc + nr;
+                        arm.tile(kc, &ap, &bp, &mut c[..len], ldc, mr, nr);
+                        assert_eq!(c, expect, "{arm:?} kc={kc} mr={mr} nr={nr}");
+                    }
+                }
+            }
+        }
     }
 }

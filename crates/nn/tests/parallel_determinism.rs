@@ -127,9 +127,9 @@ proptest! {
     }
 }
 
-/// Odd shapes large enough to cross `PARALLEL_THRESHOLD`, covering the
-/// thin-k row sweep, the MR×NR tile grid, and a contraction longer
-/// than one KC strip — paths the bounded random dims above rarely
+/// Odd shapes large enough to cross `PARALLEL_THRESHOLD`, covering a
+/// thin contraction, edge tiles of the MR×NR grid, and a contraction
+/// longer than one KC strip — paths the bounded random dims above rarely
 /// reach.
 #[test]
 fn large_shapes_cross_the_parallel_threshold() {

@@ -100,9 +100,7 @@ proptest! {
     fn narrow_nt_simd_is_bit_identical(
         seed in any::<u64>(), m in 1usize..3, k in 1usize..600, n in 1usize..300,
     ) {
-        // m <= 2 routes to the narrow transpose kernel once the shape
-        // clears the small-problem cutoff; below it the reference runs
-        // on both sides, which must (trivially) agree too.
+        // m <= 2 routes to the narrow transpose kernel at every size.
         check_both_paths(gemm::sgemm_nt, gemm::reference::sgemm_nt, m, k, n, seed);
     }
 }
@@ -129,9 +127,9 @@ fn paper_shapes_are_bit_identical() {
 }
 
 /// Edge tails of every vector loop: `k` 0 and 1, widths that are not
-/// multiples of 8 or 16 (partial microkernel tiles, thin-sweep scalar
-/// lanes, narrow-kernel column tails), row-block remainders, and
-/// contractions longer than one `KC` strip.
+/// multiples of 8, 16 or 32 (masked and staged edge tiles, narrow-kernel
+/// column tails), row-block remainders, and contractions longer than
+/// one `KC` strip.
 #[test]
 fn edge_tails_are_bit_identical() {
     for &(m, k, n) in &[
@@ -154,6 +152,24 @@ fn edge_tails_are_bit_identical() {
         (1, 1031, 100),
     ] {
         check_all_kernels(m, k, n, 211);
+    }
+}
+
+/// The edges of the 8×32 register-tile grid: rows around `MR` = 8 and
+/// the Table I row counts, columns around `NR` = 32 (and conv2's 576),
+/// contractions around conv1's 25, the `k <= 64` input gradients and
+/// `KC` = 256. Every `m` meets every `k`, and the `n` values cycle
+/// through both.
+#[test]
+fn tile_grid_edges_are_bit_identical() {
+    let ms = [7, 8, 9, 25, 33];
+    let ns = [9, 31, 32, 33, 576];
+    let ks = [25, 32, 64, 255, 256, 257];
+    for (i, &m) in ms.iter().enumerate() {
+        for (j, &k) in ks.iter().enumerate() {
+            let n = ns[(i + j) % ns.len()];
+            check_all_kernels(m, k, n, (m * 1000 + k) as u64);
+        }
     }
 }
 
