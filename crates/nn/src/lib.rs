@@ -113,6 +113,20 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// gradient whose shape does not match the last output.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
 
+    /// Accumulate parameter gradients for `grad_output`, exactly as
+    /// [`Layer::backward`] does, without computing the input gradient:
+    /// for a network's first layer, whose input gradient nobody reads.
+    ///
+    /// The default runs `backward` and drops its result. A layer that
+    /// overrides it must leave bit-identical parameter gradients.
+    ///
+    /// # Panics
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        let _ = self.backward(grad_output);
+    }
+
     /// Visit every trainable parameter (for optimizers and
     /// serialization). Stateless layers use the default empty impl.
     fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut Param)) {}
