@@ -191,7 +191,7 @@ impl ConvAutoencoder {
                 self.encoder.zero_grad();
                 self.decoder.zero_grad();
                 let grad_latent = self.decoder.backward(&grad);
-                let _ = self.encoder.backward(&grad_latent);
+                self.encoder.backward_params(&grad_latent);
                 adam.step_multi(&mut [&mut self.encoder, &mut self.decoder]);
                 loss_sum += f64::from(loss) * batch.len() as f64;
                 seen += batch.len();

@@ -158,7 +158,8 @@ impl SelectiveModel {
                 self.head_aux.as_mut().expect("grad_aux supplied but model has no auxiliary head");
             grad_features = grad_features.add(&head.backward(grad_aux));
         }
-        let _ = self.trunk.backward(&grad_features);
+        // Nothing reads the gradient of the input images.
+        self.trunk.backward_params(&grad_features);
     }
 
     /// Zero all parameter gradients.

@@ -12,15 +12,20 @@
 //! persistent worker pool ([`crate::pool`]) once the FLOP count
 //! justifies the dispatch.
 //!
-//! All kernels **accumulate** (`C += ...`); callers zero `C` when they
-//! want a plain product.
+//! The public kernels **accumulate** (`C += ...`). Inside the crate each
+//! also has an **overwrite** form (`C = ...`, `Store::Overwrite`): on
+//! the first `KC` strip the register tile starts its accumulators at
+//! `+0.0` instead of loading `C`, so a caller that wants a plain product
+//! never zero-fills its destination. Starting at `+0.0` gives the bits
+//! that loading a zero-filled `C` gives, so the two forms agree.
 //!
 //! # Determinism
 //!
 //! For every output element the blocked kernels add contributions in
-//! strictly increasing `p` order onto the resident `C` value, using
-//! `f32::mul_add` for each step. That is exactly what the serial
-//! kernels in [`reference`](mod@reference) compute, so the fast path is
+//! strictly increasing `p` order onto the resident `C` value (onto
+//! `+0.0` in the overwrite form), using `f32::mul_add` for each step.
+//! That is exactly what the serial kernels in
+//! [`reference`](mod@reference) compute, so the fast path is
 //! bit-identical to the reference for every shape and every thread
 //! count: the row block / panel / tile grid depends only on the problem
 //! shape, and the pool only changes which thread computes which block.
@@ -83,16 +88,38 @@ enum BLayout {
     Transposed,
 }
 
+/// What a kernel does with the `C` it is given.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Store {
+    /// `C += A·B` (the public kernels).
+    Accumulate,
+    /// `C = A·B`: the old contents of `C` are never read.
+    Overwrite,
+}
+
 /// `C[m,n] += A[m,k] * B[k,n]`, all row-major.
 ///
 /// # Panics
 ///
 /// Panics if any slice is shorter than its `m`/`k`/`n` shape implies.
 pub fn sgemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    sgemm_with(Store::Accumulate, m, k, n, a, b, c);
+}
+
+/// [`sgemm`] with the given [`Store`].
+pub(crate) fn sgemm_with(
+    store: Store,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
     assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
     assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
     assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
-    blocked(m, k, n, a, b, c, ALayout::RowMajor, BLayout::RowMajor);
+    blocked(m, k, n, a, b, c, ALayout::RowMajor, BLayout::RowMajor, store);
 }
 
 /// `C[m,n] += A[m,k] * B[n,k]^T` (i.e. `C[i,j] += Σ_p A[i,p]·B[j,p]`).
@@ -104,15 +131,33 @@ pub fn sgemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) 
 ///
 /// Panics if any slice is shorter than its shape implies.
 pub fn sgemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    sgemm_nt_with(Store::Accumulate, m, k, n, a, b, c);
+}
+
+/// [`sgemm_nt`] with the given [`Store`].
+pub(crate) fn sgemm_nt_with(
+    store: Store,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
     assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
     assert!(b.len() >= n * k, "B too short: {} < {}", b.len(), n * k);
     assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
     if m <= 2 {
+        // At most two rows: zeroing them is cheaper than a second
+        // pair of narrow kernels.
+        if store == Store::Overwrite {
+            c[..m * n].fill(0.0);
+        }
         if !simd::arm().nt_narrow(m, k, n, a, b, c) {
             nt_narrow(m, k, n, a, b, c);
         }
     } else {
-        blocked(m, k, n, a, b, c, ALayout::RowMajor, BLayout::Transposed);
+        blocked(m, k, n, a, b, c, ALayout::RowMajor, BLayout::Transposed, store);
     }
 }
 
@@ -168,10 +213,23 @@ fn nt_narrow(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) 
 ///
 /// Panics if any slice is shorter than its shape implies.
 pub fn sgemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    sgemm_tn_with(Store::Accumulate, m, k, n, a, b, c);
+}
+
+/// [`sgemm_tn`] with the given [`Store`].
+pub(crate) fn sgemm_tn_with(
+    store: Store,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
     assert!(a.len() >= k * m, "A too short: {} < {}", a.len(), k * m);
     assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
     assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
-    blocked(m, k, n, a, b, c, ALayout::KMajor, BLayout::RowMajor);
+    blocked(m, k, n, a, b, c, ALayout::KMajor, BLayout::RowMajor, store);
 }
 
 /// Blocked driver shared by all three public kernels.
@@ -185,9 +243,17 @@ fn blocked(
     c: &mut [f32],
     a_layout: ALayout,
     b_layout: BLayout,
+    store: Store,
 ) {
-    if m == 0 || n == 0 || k == 0 {
-        return; // C += 0, i.e. a no-op, matching the loop-based kernels
+    if m == 0 || n == 0 {
+        return;
+    }
+    if k == 0 {
+        // An empty contraction: C += 0 is a no-op, C = 0 a fill.
+        if store == Store::Overwrite {
+            c[..m * n].fill(0.0);
+        }
+        return;
     }
     let arm = simd::arm();
     let n_panels = n.div_ceil(NR);
@@ -200,6 +266,9 @@ fn blocked(
             let Pack { a: a_packed, b: b_packed } = &mut *cell.borrow_mut();
             for p0 in (0..k).step_by(KC) {
                 let kc = KC.min(k - p0);
+                // The overwrite store starts the first strip's tiles at
+                // +0.0; later strips accumulate onto what it stored.
+                let zero = p0 == 0 && store == Store::Overwrite;
                 pack_a(a_packed, a, a_layout, m, k, i0, mb, p0, kc);
                 for jp in 0..n_panels {
                     let j0 = jp * NR;
@@ -211,7 +280,8 @@ fn blocked(
                         let r0 = g * MR;
                         let mr = MR.min(mb - r0);
                         let a_panel = &a_packed[g * kc * MR..(g + 1) * kc * MR];
-                        arm.tile(kc, a_panel, b_packed, &mut c_block[r0 * n + j0..], n, mr, nr);
+                        let c_tile = &mut c_block[r0 * n + j0..];
+                        arm.tile(kc, a_panel, b_packed, c_tile, n, mr, nr, zero);
                     }
                 }
             }
@@ -484,14 +554,43 @@ mod tests {
             let a = rand_vec(m * k, 11);
             let b = rand_vec(k * n, 12);
             for b_layout in [BLayout::RowMajor, BLayout::Transposed] {
-                let mut c = rand_vec(m * n, 13);
-                let mut expect = c.clone();
-                blocked(m, k, n, &a, &b, &mut c, ALayout::RowMajor, b_layout);
-                match b_layout {
-                    BLayout::RowMajor => reference::sgemm(m, k, n, &a, &b, &mut expect),
-                    BLayout::Transposed => reference::sgemm_nt(m, k, n, &a, &b, &mut expect),
+                for store in [Store::Accumulate, Store::Overwrite] {
+                    // The overwrite store must equal the reference run
+                    // on a zero-filled C, whatever C held before.
+                    let mut c = rand_vec(m * n, 13);
+                    let mut expect =
+                        if store == Store::Overwrite { vec![0.0; m * n] } else { c.clone() };
+                    blocked(m, k, n, &a, &b, &mut c, ALayout::RowMajor, b_layout, store);
+                    match b_layout {
+                        BLayout::RowMajor => reference::sgemm(m, k, n, &a, &b, &mut expect),
+                        BLayout::Transposed => reference::sgemm_nt(m, k, n, &a, &b, &mut expect),
+                    }
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&c), bits(&expect), "shape ({m},{k},{n}) {store:?}");
                 }
-                assert_eq!(c, expect, "shape ({m},{k},{n})");
+            }
+        }
+    }
+
+    /// One GEMM form with an explicit [`Store`].
+    type Kernel = fn(Store, usize, usize, usize, &[f32], &[f32], &mut [f32]);
+
+    #[test]
+    fn overwrite_forms_ignore_the_old_c() {
+        // Every public form, including the narrow `nt` rows and an
+        // empty contraction, against the accumulate form on a zeroed C.
+        let kernels: [(Kernel, &str); 3] =
+            [(sgemm_with, "nn"), (sgemm_nt_with, "nt"), (sgemm_tn_with, "tn")];
+        for &(m, k, n) in &[(1, 9, 13), (2, 40, 8), (3, 0, 5), (9, 300, 33)] {
+            let a = rand_vec(m * k, 21);
+            let b = rand_vec(k * n, 22);
+            for (kernel, name) in kernels {
+                let mut expect = vec![0.0; m * n];
+                kernel(Store::Accumulate, m, k, n, &a, &b, &mut expect);
+                let mut c = rand_vec(m * n, 23);
+                kernel(Store::Overwrite, m, k, n, &a, &b, &mut c);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&c), bits(&expect), "{name} ({m},{k},{n})");
             }
         }
     }

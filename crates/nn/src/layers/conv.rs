@@ -3,9 +3,10 @@ use std::cell::RefCell;
 use rand::Rng;
 
 use super::pool::{relu_pool2x2, relu_unpool2x2};
-use crate::gemm::{sgemm, sgemm_nt, sgemm_tn};
+use crate::gemm::{sgemm_nt_with, sgemm_tn_with, sgemm_with, Store};
 use crate::pool::{self, Shards};
-use crate::{init, workspace, Layer, Param, Tensor};
+use crate::workspace::Scratch;
+use crate::{init, Layer, Param, Tensor};
 
 /// 2-D convolution (stride 1) via im2col + GEMM.
 ///
@@ -44,19 +45,19 @@ thread_local! {
     /// never grows again (the output tensor is still allocated per
     /// call). It holds the sample's im2col unfolding, followed, for a
     /// pooled [`ConvBlock`], by the sample's `[C_out, OH, OW]`
-    /// pre-activation plane. `im2col` overwrites every element (padding
-    /// included), so the columns never need zeroing; the plane is
-    /// zeroed per sample.
-    static COL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// pre-activation plane. Nothing here is ever zeroed: `im2col`
+    /// overwrites every column element (padding included), and the GEMM
+    /// overwrites the plane.
+    static COL_SCRATCH: RefCell<Scratch<f32>> = const { RefCell::new(Scratch::new()) };
     /// Reusable `dcol` buffer for the per-sample input-gradient GEMM of
     /// the backward pass, followed, for a pooled [`ConvBlock`], by one
     /// `[C_out, OH, OW]` plane: the sample's output gradient expanded
     /// from the pooled one in `backward`, its pre-activation in the
     /// training `forward` (whose im2col goes to the backward cache).
     /// Per thread, like [`COL_SCRATCH`]: samples fan out across pool
-    /// workers, and each worker zero-fills the buffer before the
-    /// accumulate-GEMM (a memory touch, not an allocation).
-    static DCOL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// workers. The GEMM overwrites `dcol` and the unpool writes every
+    /// plane element, so neither is zeroed first.
+    static DCOL_SCRATCH: RefCell<Scratch<f32>> = const { RefCell::new(Scratch::new()) };
 }
 
 #[derive(Debug)]
@@ -67,7 +68,7 @@ struct ConvCache {
     /// Owned by the cache between `forward` and `backward`; reclaimed
     /// into [`ConvScratch::cols`] by the next `forward`, so steady-state
     /// training re-uses one warm buffer instead of allocating per batch.
-    cols: Vec<f32>,
+    cols: Scratch<f32>,
 }
 
 /// Per-layer training workspace, grown once to the largest batch shape
@@ -76,11 +77,11 @@ struct ConvCache {
 struct ConvScratch {
     /// Parked im2col buffer (moves into [`ConvCache::cols`] during the
     /// forward→backward window).
-    cols: Vec<f32>,
+    cols: Scratch<f32>,
     /// Per-sample weight-gradient partials, `[N, C_out·C_in·k·k]`.
-    dw_partials: Vec<f32>,
+    dw_partials: Scratch<f32>,
     /// Per-sample bias-gradient partials, `[N, C_out]`.
-    db_partials: Vec<f32>,
+    db_partials: Scratch<f32>,
 }
 
 impl Conv2d {
@@ -160,13 +161,22 @@ impl Conv2d {
         ([n, c, h, w], self.output_hw(h, w))
     }
 
-    /// The per-sample kernel shared by `forward` and `infer`:
-    /// `out_n [C_out, OH·OW] = W [C_out, CKK] · im2col(sample) + b`.
-    /// `col` is overwritten with the sample's im2col unfolding.
-    fn conv_sample(&self, sample: &[f32], h: usize, w: usize, col: &mut [f32], out_n: &mut [f32]) {
+    /// The per-sample product shared by every pass:
+    /// `dst [C_out, OH·OW] = W [C_out, CKK] · im2col(sample)`, the bias
+    /// not yet added. `col` is overwritten with the sample's im2col
+    /// unfolding and `dst` by the GEMM's overwrite store.
+    fn product_sample(&self, sample: &[f32], h: usize, w: usize, col: &mut [f32], dst: &mut [f32]) {
         let (oh, ow) = self.output_hw(h, w);
         self.im2col(sample, h, w, col);
-        sgemm(self.out_channels, self.col_rows(), oh * ow, self.weight.value.data(), col, out_n);
+        let weight = self.weight.value.data();
+        sgemm_with(Store::Overwrite, self.out_channels, self.col_rows(), oh * ow, weight, col, dst);
+    }
+
+    /// The per-sample kernel of [`Conv2d`]'s `forward` and `infer`:
+    /// `out_n = W · im2col(sample) + b`.
+    fn conv_sample(&self, sample: &[f32], h: usize, w: usize, col: &mut [f32], out_n: &mut [f32]) {
+        let (oh, ow) = self.output_hw(h, w);
+        self.product_sample(sample, h, w, col, out_n);
         for (chunk, &b) in out_n.chunks_exact_mut(oh * ow).zip(self.bias.value.data()) {
             chunk.iter_mut().for_each(|v| *v += b);
         }
@@ -248,10 +258,10 @@ impl Conv2d {
         }
     }
 
-    /// A pooled block's per-sample kernel: [`Conv2d::conv_sample`] into
-    /// the pre-activation `plane` (zeroed first: the GEMM accumulates),
-    /// then the fused ReLU + 2×2 max-pool into `out_n`, recording the
-    /// window argmax when `argmax` is given.
+    /// A pooled block's per-sample kernel: [`Conv2d::product_sample`]
+    /// into the pre-activation `plane`, then one pass of bias, ReLU and
+    /// 2×2 max-pool into `out_n`, recording the window argmax when
+    /// `argmax` is given.
     #[allow(clippy::too_many_arguments)]
     fn pooled_sample(
         &self,
@@ -264,14 +274,13 @@ impl Conv2d {
         argmax: Option<&mut [u32]>,
     ) {
         let (oh, ow) = self.output_hw(h, w);
-        plane.fill(0.0);
-        self.conv_sample(sample, h, w, col, plane);
-        relu_pool2x2(plane, [self.out_channels, oh, ow], out_n, argmax);
+        self.product_sample(sample, h, w, col, plane);
+        relu_pool2x2(plane, self.bias.value.data(), [self.out_channels, oh, ow], out_n, argmax);
     }
 
     /// The training forward of [`Conv2d`] and, when `argmax` is given,
     /// of a pooled [`ConvBlock`], whose window argmax it fills.
-    fn forward_pass(&mut self, input: &Tensor, argmax: Option<&mut Vec<u32>>) -> Tensor {
+    fn forward_pass(&mut self, input: &Tensor, argmax: Option<&mut Scratch<u32>>) -> Tensor {
         let ([n, c, h, w], (oh, ow)) = self.check_input(input);
         let out_shape = self.out_shape(n, (oh, ow), argmax.is_some());
         let out_len: usize = out_shape[1..].iter().product();
@@ -284,7 +293,7 @@ impl Conv2d {
             .take()
             .map(|prev| prev.cols)
             .unwrap_or_else(|| std::mem::take(&mut self.scratch.cols));
-        workspace::reserve(&mut cols, n * col_size);
+        cols.reserve(n * col_size);
         let mut out = Tensor::zeros(&out_shape);
         if oh * ow > 0 {
             // One chunk per sample: im2col buffers, output planes and
@@ -296,8 +305,7 @@ impl Conv2d {
             let input_data = input.data();
             let col_shards = Shards::new(&mut cols[..n * col_size], col_size);
             let out_shards = Shards::new(out.data_mut(), out_len);
-            let arg_shards =
-                argmax.map(|a| Shards::new(workspace::reserve(a, n * out_len), out_len));
+            let arg_shards = argmax.map(|a| Shards::new(a.reserve(n * out_len), out_len));
             let plane_len = self.out_channels * oh * ow;
             let this = &*self;
             pool::parallel_for(n, |i| {
@@ -311,8 +319,7 @@ impl Conv2d {
                     // worker's buffer for both.
                     Some(args) => DCOL_SCRATCH.with(|cell| {
                         let mut buf = cell.borrow_mut();
-                        let plane =
-                            &mut workspace::reserve(&mut buf, col_size + plane_len)[col_size..];
+                        let plane = &mut buf.reserve(col_size + plane_len)[col_size..];
                         this.pooled_sample(sample, h, w, col, plane, out_n, Some(args.claim(i)));
                     }),
                 }
@@ -335,8 +342,7 @@ impl Conv2d {
             let input_data = input.data();
             COL_SCRATCH.with(|cell| {
                 let mut buf = cell.borrow_mut();
-                let (col, plane) =
-                    workspace::reserve(&mut buf, col_size + plane_len).split_at_mut(col_size);
+                let (col, plane) = buf.reserve(col_size + plane_len).split_at_mut(col_size);
                 for (i, out_n) in out.data_mut().chunks_exact_mut(out_len).enumerate() {
                     let sample = &input_data[i * c * h * w..(i + 1) * c * h * w];
                     if pooled {
@@ -350,12 +356,19 @@ impl Conv2d {
         out
     }
 
-    /// The one backward kernel of [`Conv2d`] and [`ConvBlock`]. Each
-    /// sample's `[C_out, OH·OW]` output gradient is read from
-    /// `grad_output` in place, or, for a pooled block (`argmax` given),
-    /// expanded from the pooled gradient through the window argmax into
-    /// the worker's scratch.
-    fn backward_pass(&mut self, grad_output: &Tensor, argmax: Option<&[u32]>) -> Tensor {
+    /// The one backward kernel of [`Conv2d`] and [`ConvBlock`]:
+    /// accumulates the weight and bias gradients and, if `input_grad`,
+    /// returns the input gradient (otherwise skips its GEMM, its col2im
+    /// and its tensor). Each sample's `[C_out, OH·OW]` output gradient
+    /// is read from `grad_output` in place, or, for a pooled block
+    /// (`argmax` given), expanded from the pooled gradient through the
+    /// window argmax into the worker's scratch.
+    fn backward_pass(
+        &mut self,
+        grad_output: &Tensor,
+        argmax: Option<&[u32]>,
+        input_grad: bool,
+    ) -> Option<Tensor> {
         let cache = self.cache.as_ref().expect("backward before forward");
         let [n, c, h, w] = cache.input_shape;
         let (oh, ow) = cache.out_hw;
@@ -367,52 +380,60 @@ impl Conv2d {
         let out_plane = self.out_channels * oh * ow;
         let c_out = self.out_channels;
         let w_len = self.weight.grad.numel();
-        let mut grad_input = Tensor::zeros(&[n, c, h, w]);
+        let mut grad_input = input_grad.then(|| Tensor::zeros(&[n, c, h, w]));
         // Per-sample weight/bias gradient partials, reduced serially in
         // sample order below so the result is independent of how the
         // pool schedules samples across threads. The buffers persist in
-        // the layer scratch; zero-filling them (the GEMM accumulates)
-        // touches memory but allocates nothing after the first batch.
+        // the layer scratch and every element is overwritten per batch
+        // (the GEMM's overwrite store, the channel sums), so after the
+        // first batch they cost neither an allocation nor a fill.
         let mut dw_vec = std::mem::take(&mut self.scratch.dw_partials);
         let mut db_vec = std::mem::take(&mut self.scratch.db_partials);
-        workspace::reserve(&mut dw_vec, n * w_len).fill(0.0);
-        workspace::reserve(&mut db_vec, n * c_out).fill(0.0);
+        dw_vec.reserve(n * w_len);
+        db_vec.reserve(n * c_out);
         if oh * ow > 0 {
             let grad = grad_output.data();
             let cols = &cache.cols;
             let dw_shards = Shards::new(&mut dw_vec[..n * w_len], w_len);
             let db_shards = Shards::new(&mut db_vec[..n * c_out], c_out);
-            let gi_shards = Shards::new(grad_input.data_mut(), c * h * w);
+            let gi_shards = grad_input.as_mut().map(|g| Shards::new(g.data_mut(), c * h * w));
             let plane_len = if argmax.is_some() { out_plane } else { 0 };
+            let ohw = oh * ow;
             let this = &*self;
             pool::parallel_for(n, |i| {
                 let grad_n = &grad[i * grad_len..(i + 1) * grad_len];
                 let col = &cols[i * col_size..(i + 1) * col_size];
                 DCOL_SCRATCH.with(|cell| {
                     let mut buf = cell.borrow_mut();
-                    let (dcol, plane) =
-                        workspace::reserve(&mut buf, col_size + plane_len).split_at_mut(col_size);
+                    // Reserved at `forward`'s length even when `dcol`
+                    // goes unused, so neither pass grows the buffer
+                    // the other warmed.
+                    let (dcol, plane) = buf.reserve(col_size + plane_len).split_at_mut(col_size);
                     let dout_n: &[f32] = match argmax {
                         None => grad_n,
                         Some(argmax) => {
                             let argmax_n = &argmax[i * grad_len..(i + 1) * grad_len];
-                            relu_unpool2x2(grad_n, argmax_n, plane);
+                            relu_unpool2x2(grad_n, argmax_n, [c_out, oh, ow], plane);
                             plane
                         }
                     };
                     // dW_i [C_out, CKK] = dOut_i [C_out, OH·OW] · col_iᵀ
-                    sgemm_nt(c_out, oh * ow, col_rows, dout_n, col, dw_shards.claim(i));
+                    let dw_i = dw_shards.claim(i);
+                    sgemm_nt_with(Store::Overwrite, c_out, ohw, col_rows, dout_n, col, dw_i);
                     // db_i[co] = Σ dOut_i[co, :]
-                    let db_i = db_shards.claim(i);
-                    for (co, chunk) in dout_n.chunks_exact(oh * ow).enumerate() {
-                        db_i[co] = chunk.iter().sum::<f32>();
+                    channel_sums(dout_n, ohw, db_shards.claim(i));
+                    if let Some(gi_shards) = &gi_shards {
+                        // dcol [CKK, OH·OW] = Wᵀ · dOut_i
+                        let wt = this.weight.value.data();
+                        sgemm_tn_with(Store::Overwrite, col_rows, c_out, ohw, wt, dout_n, dcol);
+                        this.col2im(dcol, h, w, gi_shards.claim(i));
                     }
-                    // dcol [CKK, OH·OW] = Wᵀ · dOut_i
-                    dcol.fill(0.0);
-                    sgemm_tn(col_rows, c_out, oh * ow, this.weight.value.data(), dout_n, dcol);
-                    this.col2im(dcol, h, w, gi_shards.claim(i));
                 });
             });
+        } else {
+            // No output elements: every partial is an empty sum.
+            dw_vec[..n * w_len].fill(0.0);
+            db_vec[..n * c_out].fill(0.0);
         }
         for i in 0..n {
             let dw_i = &dw_vec[i * w_len..(i + 1) * w_len];
@@ -430,6 +451,35 @@ impl Conv2d {
     }
 }
 
+/// Channels summed side by side by [`channel_sums`]: enough independent
+/// add chains to cover the add latency.
+const SUM_CHAINS: usize = 8;
+
+/// Bias-gradient sums of one sample: `db[co] = Σ dout[co, :]` over
+/// `plane`-long channel rows. Each channel is a left fold in element
+/// order from the start value `Iterator::sum` uses, so the result is
+/// `row.iter().sum()` bit for bit; [`SUM_CHAINS`] channels run as
+/// interleaved chains so consecutive adds do not wait on each other.
+fn channel_sums(dout: &[f32], plane: usize, db: &mut [f32]) {
+    let start = std::iter::empty::<f32>().sum::<f32>();
+    let mut rows = dout.chunks_exact(plane);
+    let mut blocks = db.chunks_exact_mut(SUM_CHAINS);
+    for block in &mut blocks {
+        let chains: [&[f32]; SUM_CHAINS] =
+            std::array::from_fn(|_| &rows.next().expect("one row per channel")[..plane]);
+        let mut acc = [start; SUM_CHAINS];
+        for j in 0..plane {
+            for (sum, row) in acc.iter_mut().zip(&chains) {
+                *sum += row[j];
+            }
+        }
+        block.copy_from_slice(&acc);
+    }
+    for (sum, row) in blocks.into_remainder().iter_mut().zip(rows) {
+        *sum = row.iter().sum();
+    }
+}
+
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         self.forward_pass(input, None)
@@ -440,7 +490,11 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        self.backward_pass(grad_output, None)
+        self.backward_pass(grad_output, None, true).expect("input gradient")
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        self.backward_pass(grad_output, None, false);
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
@@ -479,14 +533,14 @@ pub struct ConvBlock {
     /// the sample-plane index of each window's first maximum, or
     /// `NO_ARGMAX` when that maximum is ≤ 0 (ReLU passes no gradient).
     /// Grown once to the largest batch (see [`crate::workspace`]).
-    argmax: Vec<u32>,
+    argmax: Scratch<u32>,
 }
 
 impl ConvBlock {
     /// Wrap `conv` with the fused ReLU and 2×2 max-pool.
     #[must_use]
     pub fn new(conv: Conv2d) -> Self {
-        ConvBlock { conv, argmax: Vec::new() }
+        ConvBlock { conv, argmax: Scratch::new() }
     }
 }
 
@@ -500,7 +554,11 @@ impl Layer for ConvBlock {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        self.conv.backward_pass(grad_output, Some(&self.argmax))
+        self.conv.backward_pass(grad_output, Some(&self.argmax), true).expect("input gradient")
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        self.conv.backward_pass(grad_output, Some(&self.argmax), false);
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {

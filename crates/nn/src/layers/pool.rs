@@ -65,17 +65,11 @@ impl MaxPool2d {
         let out_data = out.data_mut();
         if self.window == 2 {
             // The paper's only pooling shape.
-            pool2x2(
-                data,
-                [n * c, h, w],
-                out_data,
-                |v| v,
-                |j, at, _| {
-                    if let Some(argmax) = argmax.as_deref_mut() {
-                        argmax[j] = at;
-                    }
-                },
-            );
+            pool2x2(data, [n * c, h, w], out_data, |j, at| {
+                if let Some(argmax) = argmax.as_deref_mut() {
+                    argmax[j] = at;
+                }
+            });
             return out;
         }
         for nc in 0..n * c {
@@ -139,20 +133,17 @@ impl Layer for MaxPool2d {
 /// ReLU passes no gradient to any of its cells.
 pub(super) const NO_ARGMAX: u32 = u32::MAX;
 
-/// The one 2×2 window kernel, behind both `MaxPool2d::new(2)` and
-/// [`super::ConvBlock`]: pool `planes [C, H, W]` into
-/// `out [C, H/2, W/2]`, each output the max over `cell(v)` of its
-/// window's four cells. `argmax(j, at, max)` receives each output index
-/// `j`, the `planes` index `at` of the window's first maximum in
-/// row-major order, and the maximum. A trailing odd row or column is
-/// dropped.
+/// The 2×2 window kernel of `MaxPool2d::new(2)`: pool
+/// `planes [C, H, W]` into `out [C, H/2, W/2]`, each output the max of
+/// its window's four cells. `argmax(j, at)` receives each output index
+/// `j` and the `planes` index `at` of the window's first maximum in
+/// row-major order. A trailing odd row or column is dropped.
 #[inline(always)]
 fn pool2x2(
     planes: &[f32],
     [c, h, w]: [usize; 3],
     out: &mut [f32],
-    cell: impl Fn(f32) -> f32,
-    mut argmax: impl FnMut(usize, usize, f32),
+    mut argmax: impl FnMut(usize, usize),
 ) {
     let (oh, ow) = (h / 2, w / 2);
     for ch in 0..c {
@@ -163,8 +154,7 @@ fn pool2x2(
             let row = (ch * oh + oy) * ow;
             for (ox, o) in out[row..][..ow].iter_mut().enumerate() {
                 let x = 2 * ox;
-                let (tl, tr) = (cell(top[x]), cell(top[x + 1]));
-                let (bl, br) = (cell(bot[x]), cell(bot[x + 1]));
+                let (tl, tr, bl, br) = (top[x], top[x + 1], bot[x], bot[x + 1]);
                 // Branch-free max-of-four (the same value as a scan: the
                 // inputs are finite, so max order does not matter).
                 let max = tl.max(tr).max(bl).max(br);
@@ -174,47 +164,97 @@ fn pool2x2(
                 let off = if bl == max { w } else { w + 1 };
                 let off = if tr == max { 1 } else { off };
                 let off = if tl == max { 0 } else { off };
-                argmax(row + ox, top_base + x + off, max);
+                argmax(row + ox, top_base + x + off);
             }
         }
     }
 }
 
-/// Fused ReLU + 2×2 max-pool of one `[C, H, W]` pre-activation plane
-/// into `out [C, H/2, W/2]`: exactly `Relu` followed by
-/// `MaxPool2d::new(2)`. With `argmax`, each pooled element also records
-/// the plane index of its window's first maximum, or [`NO_ARGMAX`] when
-/// that maximum is ≤ 0.
+/// A pooled block's whole epilogue in one pass over one sample's
+/// `[C, H, W]` pre-activation `plane` (the GEMM output, before bias):
+/// bias, ReLU and 2×2 max-pool into `out [C, H/2, W/2]`, exactly
+/// `+ bias`, `Relu` and `MaxPool2d::new(2)` in turn. With `argmax`,
+/// each pooled element also records the plane index of its window's
+/// first maximum, or [`NO_ARGMAX`] when that maximum is ≤ 0.
+///
+/// Each output row is one loop of compares and selects, with no
+/// branch on the data, so the compiler vectorizes it.
 pub(super) fn relu_pool2x2(
     plane: &[f32],
-    shape: [usize; 3],
+    bias: &[f32],
+    [c, h, w]: [usize; 3],
     out: &mut [f32],
     mut argmax: Option<&mut [u32]>,
 ) {
-    let len: usize = shape.iter().product();
-    assert!(len < NO_ARGMAX as usize, "plane of {len} elements too large for a u32 argmax");
-    pool2x2(
-        plane,
-        shape,
-        out,
-        |v| v.max(0.0),
-        |j, at, max| {
-            if let Some(argmax) = argmax.as_deref_mut() {
-                argmax[j] = if max > 0.0 { at as u32 } else { NO_ARGMAX };
+    assert!(c * h * w < NO_ARGMAX as usize, "plane of {c}x{h}x{w} too large for a u32 argmax");
+    let (oh, ow) = (h / 2, w / 2);
+    for (ch, &b) in bias.iter().enumerate().take(c) {
+        for oy in 0..oh {
+            let top_base = ch * h * w + 2 * oy * w;
+            let (top, bot) = plane[top_base..][..2 * w].split_at(w);
+            let row = (ch * oh + oy) * ow;
+            let windows = top.as_chunks::<2>().0.iter().zip(bot.as_chunks::<2>().0);
+            let out_row = out[row..][..ow].iter_mut().zip(windows);
+            let Some(argmax) = argmax.as_deref_mut() else {
+                for (o, (t, d)) in out_row {
+                    *o = window_max(t, d, b).0;
+                }
+                continue;
+            };
+            let (at0, w32) = (top_base as u32, w as u32);
+            for (ox, (at_slot, (o, (t, d)))) in
+                argmax[row..][..ow].iter_mut().zip(out_row).enumerate()
+            {
+                let (max, [tl, tr, bl]) = window_max(t, d, b);
+                *o = max;
+                let at = at0 + 2 * ox as u32;
+                let off = if bl == max { w32 } else { w32 + 1 };
+                let off = if tr == max { 1 } else { off };
+                let off = if tl == max { 0 } else { off };
+                *at_slot = if max > 0.0 { at + off } else { NO_ARGMAX };
             }
-        },
-    );
+        }
+    }
+}
+
+/// One window of [`relu_pool2x2`]: its top pair `t` and bottom pair
+/// `d` after bias and ReLU, and their max; the max and the first three
+/// cells, which decide the argmax.
+#[inline(always)]
+fn window_max(t: &[f32; 2], d: &[f32; 2], b: f32) -> (f32, [f32; 3]) {
+    let relu = |v: f32| (v + b).max(0.0);
+    let (tl, tr, bl, br) = (relu(t[0]), relu(t[1]), relu(d[0]), relu(d[1]));
+    (tl.max(tr).max(bl).max(br), [tl, tr, bl])
 }
 
 /// Backward of [`relu_pool2x2`]: expand one sample's pooled gradient
-/// into its pre-activation gradient `plane`, `g` accumulated onto zero
-/// at each recorded argmax and zero everywhere else — what
-/// `MaxPool2d::backward` followed by `Relu::backward` computes.
-pub(super) fn relu_unpool2x2(grad: &[f32], argmax: &[u32], plane: &mut [f32]) {
-    plane.fill(0.0);
-    for (&g, &at) in grad.iter().zip(argmax) {
-        if at != NO_ARGMAX {
-            plane[at as usize] += g;
+/// into its `[C, H, W]` pre-activation gradient `plane`, `0.0 + g` at
+/// each recorded argmax and `+0.0` everywhere else — what
+/// `MaxPool2d::backward` followed by `Relu::backward` computes. Every
+/// element is written once, with no fill first: each plane row's cell
+/// pairs by compare and select in one vectorizable loop, and the
+/// dropped odd row and column as zeros.
+pub(super) fn relu_unpool2x2(
+    grad: &[f32],
+    argmax: &[u32],
+    [c, h, w]: [usize; 3],
+    plane: &mut [f32],
+) {
+    let (oh, ow) = (h / 2, w / 2);
+    for (ch, ch_plane) in plane[..c * h * w].chunks_exact_mut(h * w).enumerate() {
+        let (window_rows, odd_row) = ch_plane.split_at_mut(2 * oh * w);
+        odd_row.fill(0.0);
+        for (y, row) in window_rows.chunks_exact_mut(w).enumerate() {
+            let (pairs, odd_column) = row.as_chunks_mut::<2>();
+            odd_column.fill(0.0);
+            let j = (ch * oh + y / 2) * ow;
+            let windows = grad[j..][..ow].iter().zip(&argmax[j..][..ow]);
+            let first = (ch * h * w + y * w) as u32;
+            for (ox, (pair, (&g, &at))) in pairs.iter_mut().zip(windows).enumerate() {
+                let x = first + 2 * ox as u32;
+                let v = 0.0 + g;
+                *pair = [if at == x { v } else { 0.0 }, if at == x + 1 { v } else { 0.0 }];
+            }
         }
     }
 }

@@ -3,8 +3,8 @@ use crate::{Layer, Param, Tensor};
 /// A chain of layers applied in order.
 ///
 /// `forward` threads the input through every layer; `backward` runs
-/// the chain in reverse. Build with [`Sequential::with`] in a fluent
-/// style.
+/// the chain in reverse, and `backward_params` skips the first layer's
+/// input gradient. Build with [`Sequential::with`] in a fluent style.
 ///
 /// # Example
 ///
@@ -57,29 +57,47 @@ impl Sequential {
     }
 }
 
+/// Thread `input` through `layers` with `pass`, starting from the first
+/// layer's output, so `input` itself is never copied; `None` for an
+/// empty chain.
+fn chain<L>(
+    mut layers: impl Iterator<Item = L>,
+    input: &Tensor,
+    mut pass: impl FnMut(L, &Tensor) -> Tensor,
+) -> Option<Tensor> {
+    let mut cur = pass(layers.next()?, input);
+    for layer in layers {
+        cur = pass(layer, &cur);
+    }
+    Some(cur)
+}
+
 impl Layer for Sequential {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut cur = input.clone();
-        for layer in &mut self.layers {
-            cur = layer.forward(&cur);
-        }
-        cur
+        chain(self.layers.iter_mut(), input, |layer, x| layer.forward(x))
+            .unwrap_or_else(|| input.clone())
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut cur = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            cur = layer.backward(&cur);
+        chain(self.layers.iter_mut().rev(), grad_output, |layer, g| layer.backward(g))
+            .unwrap_or_else(|| grad_output.clone())
+    }
+
+    /// Every layer but the first runs [`Layer::backward`]; the first
+    /// runs [`Layer::backward_params`], so the chain's input gradient
+    /// is never computed.
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        match chain(rest.iter_mut().rev(), grad_output, |layer, g| layer.backward(g)) {
+            Some(grad) => first.backward_params(&grad),
+            None => first.backward_params(grad_output),
         }
-        cur
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
-        let mut cur = input.clone();
-        for layer in &self.layers {
-            cur = layer.infer(&cur);
-        }
-        cur
+        chain(self.layers.iter(), input, |layer, x| layer.infer(x)).unwrap_or_else(|| input.clone())
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
@@ -103,7 +121,9 @@ mod tests {
         let mut net = Sequential::new();
         let x = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]);
         assert_eq!(net.forward(&x), x);
+        assert_eq!(net.infer(&x), x);
         assert_eq!(net.backward(&x), x);
+        net.backward_params(&x);
         assert!(net.is_empty());
     }
 

@@ -33,6 +33,10 @@
 //! transposes 8×8 blocks of `B` into column-major registers instead of
 //! reducing along rows.
 //!
+//! With `zero` set (the first strip of the GEMM's overwrite store) a
+//! tile starts its accumulators at `+0.0` instead of loading `C`: the
+//! same value a zero-filled `C` would load.
+//!
 //! Padded lanes (rows `>= mr`, columns `>= nr`) accumulate whatever the
 //! packed panels hold there and are never stored.
 
@@ -123,8 +127,9 @@ fn detect() -> Arm {
 impl Arm {
     /// One register tile: `C[r, j] += Σ_p ap[p·MR + r] · bp[p·NR + j]`
     /// for `r < mr`, `j < nr`, folded over `p = 0..kc` in increasing
-    /// order. `ap` is a packed `[p][MR]` `A` panel, `bp` a packed
-    /// `[p][NR]` `B` panel, and `C` row `r` starts at `c[r * ldc]`.
+    /// order (onto `+0.0` instead of `C` when `zero`). `ap` is a packed
+    /// `[p][MR]` `A` panel, `bp` a packed `[p][NR]` `B` panel, and `C`
+    /// row `r` starts at `c[r * ldc]`.
     ///
     /// # Panics
     ///
@@ -140,6 +145,7 @@ impl Arm {
         ldc: usize,
         mr: usize,
         nr: usize,
+        zero: bool,
     ) {
         let ap = &ap[..kc * MR];
         let bp = &bp[..kc * NR];
@@ -149,10 +155,10 @@ impl Arm {
             // runtime feature detection; the slices above cover every
             // access the kernels make.
             #[cfg(target_arch = "x86_64")]
-            Arm::Avx512 => unsafe { avx512::tile(kc, ap, bp, c, ldc, mr, nr) },
+            Arm::Avx512 => unsafe { avx512::tile(kc, ap, bp, c, ldc, mr, nr, zero) },
             #[cfg(target_arch = "x86_64")]
-            Arm::Avx2 => unsafe { avx2::tile(kc, ap, bp, c, ldc, mr, nr) },
-            _ => scalar_tile(kc, ap, bp, c, ldc, mr, nr),
+            Arm::Avx2 => unsafe { avx2::tile(kc, ap, bp, c, ldc, mr, nr, zero) },
+            _ => scalar_tile(kc, ap, bp, c, ldc, mr, nr, zero),
         }
     }
 
@@ -229,25 +235,36 @@ impl Arm {
 }
 
 /// Scalar arm of [`Arm::tile`]: the tile as `SR`×`SC` sub-tiles.
-fn scalar_tile(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, mr: usize, nr: usize) {
+#[allow(clippy::too_many_arguments)]
+fn scalar_tile(
+    kc: usize,
+    ap: &[f32],
+    bp: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+    zero: bool,
+) {
     if mr == MR && nr == NR {
         // Full tile: constant sub-tile offsets and sizes let every
         // bound and edge branch fold away.
         for (r0, j0) in [(0, 0), (0, SC), (SR, 0), (SR, SC)] {
-            scalar_sub(kc, ap, bp, r0, j0, &mut c[r0 * ldc + j0..], ldc, SR, SC);
+            scalar_sub(kc, ap, bp, r0, j0, &mut c[r0 * ldc + j0..], ldc, [SR, SC], zero);
         }
         return;
     }
     for r0 in (0..mr).step_by(SR) {
         for j0 in (0..nr).step_by(SC) {
             let (sr, sc) = ((mr - r0).min(SR), (nr - j0).min(SC));
-            scalar_sub(kc, ap, bp, r0, j0, &mut c[r0 * ldc + j0..], ldc, sr, sc);
+            scalar_sub(kc, ap, bp, r0, j0, &mut c[r0 * ldc + j0..], ldc, [sr, sc], zero);
         }
     }
 }
 
 /// One `SR`×`SC` sub-tile of [`scalar_tile`] at packed row `r0` and
-/// column `j0`, storing its `sr`×`sc` corner.
+/// column `j0`, storing its `sr`×`sc` corner (loading it first unless
+/// `zero`).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn scalar_sub(
@@ -258,14 +275,15 @@ fn scalar_sub(
     j0: usize,
     c: &mut [f32],
     ldc: usize,
-    sr: usize,
-    sc: usize,
+    [sr, sc]: [usize; 2],
+    zero: bool,
 ) {
     // Hoisted bounds proof: every per-`p` slice below is in range.
     assert!(r0 + SR <= MR && j0 + SC <= NR);
     let (ap, bp) = (ap.as_chunks::<MR>().0, bp.as_chunks::<NR>().0);
     let mut acc = [[0.0f32; SC]; SR];
-    for (r, acc_r) in acc.iter_mut().enumerate().take(sr) {
+    let loaded_rows = if zero { 0 } else { sr };
+    for (r, acc_r) in acc.iter_mut().enumerate().take(loaded_rows) {
         if sc == SC {
             *acc_r = c[r * ldc..r * ldc + SC].try_into().expect("C row");
         } else {
@@ -297,13 +315,15 @@ mod avx512 {
 
     /// AVX-512F arm of [`super::Arm::tile`]. Dispatches on `mr` so an
     /// edge tile of `R` rows keeps `2R` accumulators and does no work
-    /// for its padded rows.
+    /// for its padded rows. With `zero`, the accumulators start at
+    /// `+0.0` and `C` is only stored.
     ///
     /// # Safety
     ///
     /// AVX-512F available; `ap.len() >= kc*MR`, `bp.len() >= kc*NR`,
     /// `c.len() >= (mr-1)*ldc + nr`, `1 <= mr <= MR`, `1 <= nr <= NR`.
     #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn tile(
         kc: usize,
         ap: &[f32],
@@ -312,24 +332,26 @@ mod avx512 {
         ldc: usize,
         mr: usize,
         nr: usize,
+        zero: bool,
     ) {
         // Lane masks of the two 16-wide column halves.
         let bits = u32::MAX >> (NR - nr);
         let masks = [bits as __mmask16, (bits >> 16) as __mmask16];
         match mr {
-            8 => rows::<8>(kc, ap, bp, c, ldc, masks),
-            7 => rows::<7>(kc, ap, bp, c, ldc, masks),
-            6 => rows::<6>(kc, ap, bp, c, ldc, masks),
-            5 => rows::<5>(kc, ap, bp, c, ldc, masks),
-            4 => rows::<4>(kc, ap, bp, c, ldc, masks),
-            3 => rows::<3>(kc, ap, bp, c, ldc, masks),
-            2 => rows::<2>(kc, ap, bp, c, ldc, masks),
-            _ => rows::<1>(kc, ap, bp, c, ldc, masks),
+            8 => rows::<8>(kc, ap, bp, c, ldc, masks, zero),
+            7 => rows::<7>(kc, ap, bp, c, ldc, masks, zero),
+            6 => rows::<6>(kc, ap, bp, c, ldc, masks, zero),
+            5 => rows::<5>(kc, ap, bp, c, ldc, masks, zero),
+            4 => rows::<4>(kc, ap, bp, c, ldc, masks, zero),
+            3 => rows::<3>(kc, ap, bp, c, ldc, masks, zero),
+            2 => rows::<2>(kc, ap, bp, c, ldc, masks, zero),
+            _ => rows::<1>(kc, ap, bp, c, ldc, masks, zero),
         }
     }
 
     /// `R` rows × two 16-lane vectors of one tile. Masked-off lanes are
-    /// neither loaded (they start at zero) nor stored.
+    /// neither loaded (they start at zero) nor stored; with `zero`, no
+    /// lane is loaded.
     ///
     /// # Safety
     ///
@@ -342,10 +364,12 @@ mod avx512 {
         c: &mut [f32],
         ldc: usize,
         masks: [__mmask16; 2],
+        zero: bool,
     ) {
         const { assert!(R >= 1 && R <= MR) };
         let mut acc = [[_mm512_setzero_ps(); 2]; R];
-        for (r, acc_r) in acc.iter_mut().enumerate() {
+        let loaded_rows = if zero { 0 } else { R };
+        for (r, acc_r) in acc.iter_mut().enumerate().take(loaded_rows) {
             for (h, slot) in acc_r.iter_mut().enumerate() {
                 // Masked-off lanes are never touched, so the address
                 // may run past `c` when `nr <= 16`.
@@ -385,13 +409,15 @@ mod avx2 {
     /// AVX2 arm of [`super::Arm::tile`]: the tile as `SR`×`SC` = 4×16
     /// sub-tiles. Full sub-tiles accumulate straight from/to `C`; edge
     /// sub-tiles are staged through a zero-padded 4×16 tile so the
-    /// vector loop still runs full-width.
+    /// vector loop still runs full-width. With `zero`, nothing is
+    /// loaded from `C`.
     ///
     /// # Safety
     ///
     /// AVX2 + FMA available; `ap.len() >= kc*MR`, `bp.len() >= kc*NR`,
     /// `c.len() >= (mr-1)*ldc + nr`, `mr <= MR`, `nr <= NR`.
     #[target_feature(enable = "avx2", enable = "fma")]
+    #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn tile(
         kc: usize,
         ap: &[f32],
@@ -400,6 +426,7 @@ mod avx2 {
         ldc: usize,
         mr: usize,
         nr: usize,
+        zero: bool,
     ) {
         for r0 in (0..mr).step_by(SR) {
             for j0 in (0..nr).step_by(SC) {
@@ -407,13 +434,14 @@ mod avx2 {
                 let c = &mut c[r0 * ldc + j0..];
                 if sr == SR && sc == SC {
                     let _ = &c[..(SR - 1) * ldc + SC]; // hoisted bounds proof
-                    sub(kc, ap, bp, r0, j0, c.as_mut_ptr(), ldc);
+                    sub(kc, ap, bp, r0, j0, c.as_mut_ptr(), ldc, zero);
                 } else {
                     let mut staged = [[0.0f32; SC]; SR];
-                    for r in 0..sr {
+                    let loaded_rows = if zero { 0 } else { sr };
+                    for r in 0..loaded_rows {
                         staged[r][..sc].copy_from_slice(&c[r * ldc..r * ldc + sc]);
                     }
-                    sub(kc, ap, bp, r0, j0, staged.as_mut_ptr().cast(), SC);
+                    sub(kc, ap, bp, r0, j0, staged.as_mut_ptr().cast(), SC, zero);
                     for r in 0..sr {
                         c[r * ldc..r * ldc + sc].copy_from_slice(&staged[r][..sc]);
                     }
@@ -422,7 +450,8 @@ mod avx2 {
         }
     }
 
-    /// One full 4×16 sub-tile at packed row `r0` and column `j0`.
+    /// One full 4×16 sub-tile at packed row `r0` and column `j0`,
+    /// starting from `C` or, with `zero`, from `+0.0`.
     ///
     /// # Safety
     ///
@@ -430,6 +459,7 @@ mod avx2 {
     /// stride `ldc`; `r0 + SR <= MR`, `j0 + SC <= NR`, and the panels
     /// hold `kc` strides.
     #[target_feature(enable = "avx2", enable = "fma")]
+    #[allow(clippy::too_many_arguments)]
     unsafe fn sub(
         kc: usize,
         ap: &[f32],
@@ -438,9 +468,11 @@ mod avx2 {
         j0: usize,
         c: *mut f32,
         ldc: usize,
+        zero: bool,
     ) {
         let mut acc = [[_mm256_setzero_ps(); 2]; SR];
-        for (r, acc_r) in acc.iter_mut().enumerate() {
+        let loaded_rows = if zero { 0 } else { SR };
+        for (r, acc_r) in acc.iter_mut().enumerate().take(loaded_rows) {
             acc_r[0] = _mm256_loadu_ps(c.add(r * ldc));
             acc_r[1] = _mm256_loadu_ps(c.add(r * ldc + 8));
         }
@@ -646,7 +678,8 @@ mod tests {
     /// around the vector and `KC` boundaries. The pad lanes of the
     /// panels hold random values too, so a pad lane that leaks into a
     /// stored element fails the comparison, and `C` past the tile
-    /// (row stride `ldc > nr`) must come back untouched.
+    /// (row stride `ldc > nr`) must come back untouched. The zero-start
+    /// form folds onto `+0.0` and must not read the tile's old `C`.
     #[test]
     fn every_arm_tile_is_bit_identical_to_scalar_fold() {
         let ldc = NR + 3;
@@ -655,21 +688,31 @@ mod tests {
             let bp = rand_vec(kc * NR, kc as u64 ^ 0x9e37);
             for mr in 1..=MR {
                 for nr in [1, 15, 16, 17, 31, 32] {
-                    let c0 = rand_vec(MR * ldc, (mr * 64 + nr) as u64);
-                    let mut expect = c0.clone();
-                    for r in 0..mr {
-                        for j in 0..nr {
-                            let slot = &mut expect[r * ldc + j];
-                            for p in 0..kc {
-                                *slot = ap[p * MR + r].mul_add(bp[p * NR + j], *slot);
+                    for zero in [false, true] {
+                        let c0 = rand_vec(MR * ldc, (mr * 64 + nr) as u64);
+                        let mut expect = c0.clone();
+                        for r in 0..mr {
+                            for j in 0..nr {
+                                let slot = &mut expect[r * ldc + j];
+                                if zero {
+                                    *slot = 0.0;
+                                }
+                                for p in 0..kc {
+                                    *slot = ap[p * MR + r].mul_add(bp[p * NR + j], *slot);
+                                }
                             }
                         }
-                    }
-                    for arm in supported_arms() {
-                        let mut c = c0.clone();
-                        let len = (mr - 1) * ldc + nr;
-                        arm.tile(kc, &ap, &bp, &mut c[..len], ldc, mr, nr);
-                        assert_eq!(c, expect, "{arm:?} kc={kc} mr={mr} nr={nr}");
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        for arm in supported_arms() {
+                            let mut c = c0.clone();
+                            let len = (mr - 1) * ldc + nr;
+                            arm.tile(kc, &ap, &bp, &mut c[..len], ldc, mr, nr, zero);
+                            assert_eq!(
+                                bits(&c),
+                                bits(&expect),
+                                "{arm:?} kc={kc} mr={mr} nr={nr} zero={zero}"
+                            );
+                        }
                     }
                 }
             }

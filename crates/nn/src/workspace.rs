@@ -2,14 +2,17 @@
 //!
 //! The training and serving hot paths reuse long-lived buffers —
 //! per-layer workspaces, per-thread thread-locals, trainer staging —
-//! instead of allocating per batch or per sample. Every such buffer is
-//! sized through [`reserve`], which grows it at most to the
-//! largest size ever requested and **counts each growth** in the
-//! process-wide [`telemetry::global`] registry:
+//! instead of allocating per batch or per sample. The convolution
+//! layers' buffers are [`Scratch`]es, sized through [`Scratch::reserve`],
+//! which grows one at most to the largest size ever requested and
+//! **counts each growth** in the process-wide [`telemetry::global`]
+//! registry:
 //!
 //! - `hotpath_scratch_grows_total` — number of buffer growths,
 //! - `hotpath_scratch_grow_bytes_total` — bytes added by growths,
-//! - `hotpath_scratch_bytes` — current total bytes held (gauge).
+//! - `hotpath_scratch_bytes` — bytes held by live buffers (gauge): a
+//!   growth adds to it and dropping a buffer (a layer, or a thread and
+//!   its thread-locals) subtracts its bytes.
 //!
 //! In steady state (fixed shapes after the first batch) the grow
 //! counter must stay flat: that is the workspace-growth contract,
@@ -49,26 +52,66 @@ fn metrics() -> &'static ScratchMetrics {
     })
 }
 
-/// Ensure `buf` holds at least `len` elements and return the first
-/// `len` as a slice.
-///
-/// Growth is amortized-once: after the largest shape has been seen,
-/// calls never allocate. New elements are `T::default()` (zero);
-/// **existing elements keep their prior contents** — callers that need
-/// a zeroed buffer (e.g. GEMM accumulation targets) must `fill(0.0)`
-/// the returned slice themselves, which touches memory but allocates
-/// nothing.
-pub fn reserve<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
-    if buf.len() < len {
-        let grown = (len - buf.len()) * std::mem::size_of::<T>();
-        buf.resize(len, T::default());
-        let m = metrics();
-        m.grows.inc();
-        m.grow_bytes.add(grown as u64);
-        let total = TOTAL_BYTES.fetch_add(grown as u64, Ordering::Relaxed) + grown as u64;
-        m.bytes.set(total as f64);
+/// A hot-path scratch buffer: a `Vec` that only grows, through
+/// [`Scratch::reserve`], and whose bytes count towards the
+/// `hotpath_scratch_bytes` gauge for as long as it lives.
+#[derive(Debug, Default)]
+pub struct Scratch<T> {
+    buf: Vec<T>,
+}
+
+impl<T> Scratch<T> {
+    /// An empty buffer (usable in `const` thread-local initialisers).
+    #[must_use]
+    pub const fn new() -> Self {
+        Scratch { buf: Vec::new() }
     }
-    &mut buf[..len]
+}
+
+impl<T: Copy + Default> Scratch<T> {
+    /// Ensure the buffer holds at least `len` elements and return the
+    /// first `len` as a slice.
+    ///
+    /// Growth is amortized-once: after the largest shape has been
+    /// seen, calls never allocate. New elements are `T::default()`
+    /// (zero); **existing elements keep their prior contents**, so
+    /// callers overwrite what they read.
+    pub fn reserve(&mut self, len: usize) -> &mut [T] {
+        if self.buf.len() < len {
+            let grown = (len - self.buf.len()) * std::mem::size_of::<T>();
+            self.buf.resize(len, T::default());
+            let m = metrics();
+            m.grows.inc();
+            m.grow_bytes.add(grown as u64);
+            let total = TOTAL_BYTES.fetch_add(grown as u64, Ordering::Relaxed) + grown as u64;
+            m.bytes.set(total as f64);
+        }
+        &mut self.buf[..len]
+    }
+}
+
+impl<T> std::ops::Deref for Scratch<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.buf
+    }
+}
+
+impl<T> std::ops::DerefMut for Scratch<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.buf
+    }
+}
+
+impl<T> Drop for Scratch<T> {
+    fn drop(&mut self) {
+        let bytes = (self.buf.len() * std::mem::size_of::<T>()) as u64;
+        if bytes > 0 {
+            let total = TOTAL_BYTES.fetch_sub(bytes, Ordering::Relaxed) - bytes;
+            metrics().bytes.set(total as f64);
+        }
+    }
 }
 
 /// Total number of scratch growths so far (process-wide, monotone).
@@ -87,21 +130,21 @@ mod tests {
     #[test]
     fn reserve_grows_once_and_counts() {
         let before = grow_count();
-        let mut buf = Vec::<f32>::new();
-        let s = reserve(&mut buf, 128);
+        let mut buf = Scratch::<f32>::new();
+        let s = buf.reserve(128);
         assert_eq!(s.len(), 128);
         assert!(s.iter().all(|&v| v == 0.0));
         s.fill(3.0);
         assert_eq!(grow_count(), before + 1);
 
         // Same or smaller size: no growth, contents preserved.
-        let s = reserve(&mut buf, 64);
+        let s = buf.reserve(64);
         assert_eq!(s.len(), 64);
         assert!(s.iter().all(|&v| v == 3.0));
         assert_eq!(grow_count(), before + 1);
 
         // Larger: exactly one more growth, zero-filled new tail.
-        let s = reserve(&mut buf, 256);
+        let s = buf.reserve(256);
         assert_eq!(s.len(), 256);
         assert!(s[128..].iter().all(|&v| v == 0.0));
         assert_eq!(grow_count(), before + 2);

@@ -7,6 +7,12 @@
 //! window maxima, ±0.0 inputs and gradients, windows whose maximum is
 //! ≤ 0, odd spatial sizes (the trailing row or column is dropped), a
 //! single sample, and a smaller (ragged) batch after a larger one.
+//!
+//! `backward_params` (parameter gradients only, no input gradient) must
+//! leave the same weight and bias gradients as `backward`, bit for bit,
+//! on `Conv2d`, `ConvBlock` and a three-block `Sequential` over the
+//! same value classes, checked against the unfused chain and, for the
+//! bias, against `Iterator::sum` per channel.
 
 use nn::layers::{Conv2d, ConvBlock, MaxPool2d, Relu};
 use nn::{Layer, Sequential, Tensor};
@@ -81,6 +87,32 @@ fn grads(layer: &mut dyn Layer) -> Vec<Vec<u32>> {
     out
 }
 
+/// Parameters for one `c_in → c_out` convolution of the value class.
+fn conv_params(
+    rng: &mut StdRng,
+    c_in: usize,
+    c_out: usize,
+    kernel: usize,
+    values: Values,
+) -> Vec<Vec<f32>> {
+    let fan_in = c_in * kernel * kernel;
+    let from: Option<&[f32]> = match values {
+        Values::Random => None,
+        Values::Ties => Some(&[-1.0, -0.0, 0.0, 1.0]),
+        Values::NonPositive => Some(&[-1.0, -0.0, 0.0]),
+    };
+    vec![draw(rng, c_out * fan_in, from), draw(rng, c_out, from)]
+}
+
+/// Layers whose gradients start at -0.0: an accumulation that adds
+/// nothing but -0.0 sums keeps that sign, so a wrong start value of a
+/// bias sum shows in the bits.
+fn neg_zero_grads(layers: &mut [&mut dyn Layer]) {
+    for layer in layers {
+        layer.visit_params(&mut |p| p.grad.fill(-0.0));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -99,20 +131,7 @@ proptest! {
         let pad = if same { kernel / 2 } else { 0 };
         // Conv outputs from 2×2 to 9×9, odd sizes included.
         let (h, w) = (kernel - 1 - 2 * pad + 2 + hw.0, kernel - 1 - 2 * pad + 2 + hw.1);
-        let fan_in = c_in * kernel * kernel;
-        let params = match values {
-            Values::Random => {
-                vec![draw(&mut rng, c_out * fan_in, None), draw(&mut rng, c_out, None)]
-            }
-            Values::Ties => vec![
-                draw(&mut rng, c_out * fan_in, Some(&[-1.0, -0.0, 0.0, 1.0])),
-                draw(&mut rng, c_out, Some(&[-1.0, -0.0, 0.0, 1.0])),
-            ],
-            Values::NonPositive => vec![
-                draw(&mut rng, c_out * fan_in, Some(&[-1.0, -0.0, 0.0])),
-                draw(&mut rng, c_out, Some(&[-1.0, -0.0, 0.0])),
-            ],
-        };
+        let params = conv_params(&mut rng, c_in, c_out, kernel, values);
         let mut block = ConvBlock::new(Conv2d::new(c_in, c_out, kernel, pad, &mut rng));
         let mut chain = Sequential::new()
             .with(Conv2d::new(c_in, c_out, kernel, pad, &mut rng))
@@ -143,5 +162,136 @@ proptest! {
             }
         }
         prop_assert_eq!(grads(&mut block), grads(&mut chain));
+    }
+}
+
+/// Pooled output sizes from 1×1 to 3×3 after three blocks: each
+/// block's "same" convolution keeps the size, its pool halves it (odd
+/// sizes drop a row or column).
+fn three_blocks(
+    rng: &mut StdRng,
+    channels: [usize; 4],
+    kernel: usize,
+    values: Values,
+) -> (Sequential, Sequential, Sequential) {
+    let mut fused = Sequential::new();
+    let mut params_only = Sequential::new();
+    let mut chain = Sequential::new();
+    for pair in channels.windows(2) {
+        let (c_in, c_out) = (pair[0], pair[1]);
+        let params = conv_params(rng, c_in, c_out, kernel, values);
+        let mut a = ConvBlock::new(Conv2d::same(c_in, c_out, kernel, rng));
+        let mut b = ConvBlock::new(Conv2d::same(c_in, c_out, kernel, rng));
+        let mut conv = Conv2d::same(c_in, c_out, kernel, rng);
+        load(&mut a, &params);
+        load(&mut b, &params);
+        load(&mut conv, &params);
+        fused = fused.with(a);
+        params_only = params_only.with(b);
+        chain = chain.with(conv).with(Relu::new()).with(MaxPool2d::new(2));
+    }
+    (fused, params_only, chain)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn backward_params_matches_backward_bitwise(
+        seed in any::<u64>(),
+        batches in (1usize..5, 1usize..5),
+        c_in in 1usize..4,
+        c_out in 1usize..10,
+        kernel in prop_oneof![Just(1usize), Just(3), Just(5)],
+        same in any::<bool>(),
+        hw in (0usize..8, 0usize..8),
+        values in prop_oneof![Just(Values::Random), Just(Values::Ties), Just(Values::NonPositive)],
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pad = if same { kernel / 2 } else { 0 };
+        let (h, w) = (kernel - 1 - 2 * pad + 2 + hw.0, kernel - 1 - 2 * pad + 2 + hw.1);
+        let (oh, ow) = (h + 2 * pad + 1 - kernel, w + 2 * pad + 1 - kernel);
+        let params = conv_params(&mut rng, c_in, c_out, kernel, values);
+
+        // Unpooled: `backward` vs `backward_params`, and the bias
+        // against per-channel `Iterator::sum`s added in sample order.
+        let mut conv = Conv2d::new(c_in, c_out, kernel, pad, &mut rng);
+        let mut conv_params_only = Conv2d::new(c_in, c_out, kernel, pad, &mut rng);
+        load(&mut conv, &params);
+        load(&mut conv_params_only, &params);
+        neg_zero_grads(&mut [&mut conv, &mut conv_params_only]);
+        let mut expect_db = vec![-0.0f32; c_out];
+        // Pooled: the block both ways, and the unfused chain.
+        let mut block = ConvBlock::new(Conv2d::new(c_in, c_out, kernel, pad, &mut rng));
+        let mut block_params_only = ConvBlock::new(Conv2d::new(c_in, c_out, kernel, pad, &mut rng));
+        let mut chain = Sequential::new()
+            .with(Conv2d::new(c_in, c_out, kernel, pad, &mut rng))
+            .with(Relu::new())
+            .with(MaxPool2d::new(2));
+        load(&mut block, &params);
+        load(&mut block_params_only, &params);
+        load(&mut chain, &params);
+        neg_zero_grads(&mut [&mut block, &mut block_params_only, &mut chain]);
+
+        for n in [batches.0, batches.1] {
+            let x = input(&mut rng, &[n, c_in, h, w], values);
+
+            let y = conv.forward(&x);
+            let _ = conv_params_only.forward(&x);
+            let mut g = grad(&mut rng, y.shape());
+            // Channel 0 all -0.0: its sum keeps the start value's sign.
+            for sample in g.data_mut().chunks_exact_mut(c_out * oh * ow) {
+                sample[..oh * ow].fill(-0.0);
+            }
+            let _ = conv.backward(&g);
+            conv_params_only.backward_params(&g);
+            for (co, row) in g.data().chunks_exact(oh * ow).enumerate() {
+                expect_db[co % c_out] += row.iter().sum::<f32>();
+            }
+
+            let pooled = block.forward(&x);
+            let _ = block_params_only.forward(&x);
+            let _ = chain.forward(&x);
+            let g = grad(&mut rng, pooled.shape());
+            let _ = block.backward(&g);
+            block_params_only.backward_params(&g);
+            let _ = chain.backward(&g);
+        }
+        let conv_grads = grads(&mut conv);
+        prop_assert_eq!(&grads(&mut conv_params_only), &conv_grads);
+        prop_assert_eq!(&conv_grads[1], &bits(&expect_db));
+        let block_grads = grads(&mut block);
+        prop_assert_eq!(&grads(&mut block_params_only), &block_grads);
+        prop_assert_eq!(&grads(&mut chain), &block_grads);
+    }
+
+    #[test]
+    fn sequential_backward_params_matches_backward_bitwise(
+        seed in any::<u64>(),
+        batches in (1usize..4, 1usize..4),
+        channels in (1usize..4, 1usize..6, 1usize..6),
+        kernel in prop_oneof![Just(1usize), Just(3)],
+        hw in (8usize..14, 8usize..14),
+        values in prop_oneof![Just(Values::Random), Just(Values::Ties), Just(Values::NonPositive)],
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (c1, c2, c3) = channels;
+        let (mut fused, mut params_only, mut chain) =
+            three_blocks(&mut rng, [1, c1, c2, c3], kernel, values);
+        neg_zero_grads(&mut [&mut fused, &mut params_only, &mut chain]);
+        for n in [batches.0, batches.1] {
+            let x = input(&mut rng, &[n, 1, hw.0, hw.1], values);
+            let y = fused.forward(&x);
+            let _ = params_only.forward(&x);
+            let reference = chain.forward(&x);
+            prop_assert_eq!(bits(y.data()), bits(reference.data()));
+            let g = grad(&mut rng, y.shape());
+            let _ = fused.backward(&g);
+            params_only.backward_params(&g);
+            let _ = chain.backward(&g);
+        }
+        let fused_grads = grads(&mut fused);
+        prop_assert_eq!(&grads(&mut params_only), &fused_grads);
+        prop_assert_eq!(&grads(&mut chain), &fused_grads);
     }
 }
