@@ -1,5 +1,6 @@
 use nn::layers::{Conv2d, ConvBlock, Flatten, Linear, Relu, Sigmoid};
 use nn::optim::Adam;
+use nn::pool::SAMPLE_BLOCK;
 use nn::serialize::{RestoreError, StateDict};
 use nn::{Layer, Sequential, Tensor};
 use rand::rngs::StdRng;
@@ -16,15 +17,6 @@ std::thread_local! {
     /// `nn::workspace`).
     static SAMPLE_STAGE: std::cell::RefCell<Tensor> = std::cell::RefCell::new(Tensor::default());
 }
-
-/// Wafers per inference block: each worker runs one batched forward
-/// over a block this size (ragged tail allowed). 4 amortizes GEMM
-/// packing and per-call overhead while keeping a block's activation
-/// working set small enough (~100 KB at grid 32) that concurrent
-/// blocks don't thrash a shared cache — larger blocks measured slower
-/// on narrow hosts for exactly that reason. Block boundaries never
-/// change results — only where the batch dimension is cut.
-const INFER_BLOCK: usize = 4;
 
 /// The paper's two-head selective CNN (Fig. 2).
 ///
@@ -196,7 +188,7 @@ impl SelectiveModel {
     /// followed by a softmax) but runs through `&self` on the no-grad
     /// [`Layer::infer`] path: no activation caches are written and
     /// samples are processed **block-major** — the batch splits into
-    /// fixed 4-wafer blocks (`INFER_BLOCK`), each block runs the whole
+    /// fixed 4-wafer blocks ([`SAMPLE_BLOCK`]), each block runs the whole
     /// network as one batched forward on its worker. Blocked forwards
     /// amortize GEMM packing and per-call overhead (one `m = 4` fc GEMM
     /// instead of four `m = 1` ones), so micro-batching pays even on a
@@ -246,9 +238,9 @@ impl SelectiveModel {
     ) -> (Vec<SelectivePrediction>, Vec<f64>) {
         let grid = self.config.grid;
         let c = self.config.n_classes;
-        let blocks = nn::pool::parallel_map(n.div_ceil(INFER_BLOCK), |b| {
-            let lo = b * INFER_BLOCK;
-            let hi = ((b + 1) * INFER_BLOCK).min(n);
+        let blocks = nn::pool::parallel_map(n.div_ceil(SAMPLE_BLOCK), |b| {
+            let lo = b * SAMPLE_BLOCK;
+            let hi = ((b + 1) * SAMPLE_BLOCK).min(n);
             let start = std::time::Instant::now();
             let preds = SAMPLE_STAGE.with(|cell| {
                 let mut block = cell.borrow_mut();

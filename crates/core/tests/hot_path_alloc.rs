@@ -1,15 +1,17 @@
 //! The workspace-growth contract of the training hot path.
 //!
-//! Every internal scratch buffer on the batch path (im2col columns,
-//! conv gradient partials, loss scratch) is sized
-//! through `nn::workspace::reserve`, which grows a buffer at most
-//! once per high-water mark and counts each growth. After a warm-up
-//! epoch has visited every shape, further training must not grow any
-//! workspace buffer: the process-wide grow counter (`grow_count`)
-//! stays flat.
+//! The counter behind it sees the `nn::workspace::Scratch` buffers,
+//! which are the convolution layers' own workspaces (im2col shards,
+//! pooled planes and argmax, gradient partials) and the per-thread
+//! inference scratch. Each is sized through `Scratch::reserve`, which
+//! grows a buffer at most once per high-water mark and counts each
+//! growth. After a warm-up epoch has visited every shape, further
+//! training must not grow any of them: the process-wide grow counter
+//! (`grow_count`) stays flat.
 //!
 //! The contract covers those buffers only, not every heap allocation:
-//! layer outputs, gradients and caches are still allocated per batch.
+//! the loss scratch, the trainer's staging tensors, layer outputs,
+//! gradients and caches are reused or allocated outside its count.
 //! perfbench's counting allocator reports the real heap counts as
 //! `process.allocs_per_step` and `process.allocs_per_wafer`.
 //!

@@ -4,7 +4,7 @@ use rand::Rng;
 
 use super::pool::{relu_pool2x2, relu_unpool2x2};
 use crate::gemm::{sgemm_nt_with, sgemm_tn_with, sgemm_with, Store};
-use crate::pool::{self, Shards};
+use crate::pool::{self, Shards, SAMPLE_BLOCK};
 use crate::workspace::Scratch;
 use crate::{init, Layer, Param, Tensor};
 
@@ -40,48 +40,56 @@ pub struct Conv2d {
 }
 
 thread_local! {
-    /// Reusable per-sample buffer for the inference pass. One per
-    /// thread: pool workers are persistent, so after warm-up the buffer
-    /// never grows again (the output tensor is still allocated per
-    /// call). It holds the sample's im2col unfolding, followed, for a
-    /// pooled [`ConvBlock`], by the sample's `[C_out, OH, OW]`
-    /// pre-activation plane. Nothing here is ever zeroed: `im2col`
-    /// overwrites every column element (padding included), and the GEMM
-    /// overwrites the plane.
+    /// Reusable per-sample buffer of the `&self` inference pass, the one
+    /// conv scratch that is not the layer's own: a layer shared across
+    /// workers cannot hold mutable scratch. One per thread; pool workers
+    /// are persistent, so after warm-up the buffer never grows again
+    /// (the output tensor is still allocated per call). It holds the
+    /// sample's im2col unfolding, followed, for a pooled [`ConvBlock`],
+    /// by the sample's `[C_out, OH, OW]` pre-activation plane. Nothing
+    /// here is ever zeroed: `im2col` overwrites every column element
+    /// (padding included), and the GEMM overwrites the plane.
     static COL_SCRATCH: RefCell<Scratch<f32>> = const { RefCell::new(Scratch::new()) };
-    /// Reusable `dcol` buffer for the per-sample input-gradient GEMM of
-    /// the backward pass, followed, for a pooled [`ConvBlock`], by one
-    /// `[C_out, OH, OW]` plane: the sample's output gradient expanded
-    /// from the pooled one in `backward`, its pre-activation in the
-    /// training `forward` (whose im2col goes to the backward cache).
-    /// Per thread, like [`COL_SCRATCH`]: samples fan out across pool
-    /// workers. The GEMM overwrites `dcol` and the unpool writes every
-    /// plane element, so neither is zeroed first.
-    static DCOL_SCRATCH: RefCell<Scratch<f32>> = const { RefCell::new(Scratch::new()) };
 }
 
+/// What `backward` needs of the last `forward` besides
+/// [`ConvScratch`]: the shapes.
 #[derive(Debug)]
 struct ConvCache {
     input_shape: [usize; 4],
     out_hw: (usize, usize),
-    /// im2col buffers, one `[C_in·k·k, H_out·W_out]` block per sample.
-    /// Owned by the cache between `forward` and `backward`; reclaimed
-    /// into [`ConvScratch::cols`] by the next `forward`, so steady-state
-    /// training re-uses one warm buffer instead of allocating per batch.
-    cols: Scratch<f32>,
 }
 
 /// Per-layer training workspace, grown once to the largest batch shape
 /// seen (see [`crate::workspace`]) and excluded from serialization.
+/// Its sizes depend only on the shapes, never on which worker runs
+/// which samples: the training passes fan out in groups of
+/// [`SAMPLE_BLOCK`] samples, and a group's shards are its own.
 #[derive(Debug, Default)]
 struct ConvScratch {
-    /// Parked im2col buffer (moves into [`ConvCache::cols`] during the
-    /// forward→backward window).
+    /// One `[C_in·k·k, OH·OW]` shard per sample: `forward`'s im2col
+    /// unfolding, which `backward`'s dW GEMM reads and then overwrites
+    /// with the sample's `dcol`.
     cols: Scratch<f32>,
+    /// Pooled block only: one `[C_out, OH, OW]` plane per sample group,
+    /// holding each sample's pre-activation in `forward` and its
+    /// output gradient, expanded from the pooled one, in `backward`.
+    planes: Scratch<f32>,
+    /// Pooled block only: the window argmax of the last `forward`,
+    /// `[N, C_out, OH/2, OW/2]`: the sample-plane index of each
+    /// window's first maximum, or `NO_ARGMAX` when that maximum is ≤ 0
+    /// (ReLU passes no gradient).
+    argmax: Scratch<u32>,
     /// Per-sample weight-gradient partials, `[N, C_out·C_in·k·k]`.
     dw_partials: Scratch<f32>,
     /// Per-sample bias-gradient partials, `[N, C_out]`.
     db_partials: Scratch<f32>,
+}
+
+/// Split `buf` into one shard per group of [`SAMPLE_BLOCK`] samples of
+/// `per_sample` elements each (the last group may be short).
+fn groups<T>(buf: &mut [T], per_sample: usize) -> Shards<'_, T> {
+    Shards::new(buf, SAMPLE_BLOCK * per_sample)
 }
 
 impl Conv2d {
@@ -278,54 +286,53 @@ impl Conv2d {
         relu_pool2x2(plane, self.bias.value.data(), [self.out_channels, oh, ow], out_n, argmax);
     }
 
-    /// The training forward of [`Conv2d`] and, when `argmax` is given,
-    /// of a pooled [`ConvBlock`], whose window argmax it fills.
-    fn forward_pass(&mut self, input: &Tensor, argmax: Option<&mut Scratch<u32>>) -> Tensor {
+    /// The training forward of [`Conv2d`] and, when `pooled`, of a
+    /// [`ConvBlock`], whose window argmax it fills.
+    fn forward_pass(&mut self, input: &Tensor, pooled: bool) -> Tensor {
         let ([n, c, h, w], (oh, ow)) = self.check_input(input);
-        let out_shape = self.out_shape(n, (oh, ow), argmax.is_some());
+        let out_shape = self.out_shape(n, (oh, ow), pooled);
         let out_len: usize = out_shape[1..].iter().product();
         let col_size = self.col_rows() * oh * ow;
-        // Reclaim the warm im2col buffer (from the previous cache or
-        // the parked scratch) instead of allocating per batch; `im2col`
-        // overwrites every element, so no zeroing either.
-        let mut cols = self
-            .cache
-            .take()
-            .map(|prev| prev.cols)
-            .unwrap_or_else(|| std::mem::take(&mut self.scratch.cols));
-        cols.reserve(n * col_size);
         let mut out = Tensor::zeros(&out_shape);
+        let mut scratch = std::mem::take(&mut self.scratch);
         if oh * ow > 0 {
-            // One chunk per sample: im2col buffers, output planes and
-            // argmax rows are disjoint per-sample shards, so the batch
-            // fans out across the worker pool with no cross-sample
-            // state. The im2col shards are kept as the backward cache;
-            // a pooled block's pre-activation plane lives only in the
-            // worker's scratch.
+            // One chunk per sample group: im2col shards, output planes,
+            // argmax rows and the group's pre-activation plane are
+            // disjoint per group, so the batch fans out across the
+            // worker pool with no cross-group state. Nothing is zeroed:
+            // `im2col` overwrites every column element and the GEMM
+            // every plane element.
+            let col_shards = groups(scratch.cols.reserve(n * col_size), col_size);
+            let pool_shards = pooled.then(|| {
+                let plane_len = self.out_channels * oh * ow;
+                let planes = scratch.planes.reserve(n.div_ceil(SAMPLE_BLOCK) * plane_len);
+                (
+                    Shards::new(planes, plane_len),
+                    groups(scratch.argmax.reserve(n * out_len), out_len),
+                )
+            });
+            let out_shards = groups(out.data_mut(), out_len);
             let input_data = input.data();
-            let col_shards = Shards::new(&mut cols[..n * col_size], col_size);
-            let out_shards = Shards::new(out.data_mut(), out_len);
-            let arg_shards = argmax.map(|a| Shards::new(a.reserve(n * out_len), out_len));
-            let plane_len = self.out_channels * oh * ow;
-            let this = &*self;
-            pool::parallel_for(n, |i| {
-                let sample = &input_data[i * c * h * w..(i + 1) * c * h * w];
-                let (col, out_n) = (col_shards.claim(i), out_shards.claim(i));
-                match &arg_shards {
-                    None => this.conv_sample(sample, h, w, col, out_n),
-                    // The plane takes the slot `backward` uses for this
-                    // layer's expanded gradient, reserved at the same
-                    // length, so a warm-up pass of either grows the
-                    // worker's buffer for both.
-                    Some(args) => DCOL_SCRATCH.with(|cell| {
-                        let mut buf = cell.borrow_mut();
-                        let plane = &mut buf.reserve(col_size + plane_len)[col_size..];
-                        this.pooled_sample(sample, h, w, col, plane, out_n, Some(args.claim(i)));
-                    }),
+            pool::parallel_for(n.div_ceil(SAMPLE_BLOCK), |g| {
+                let samples = col_shards.claim(g).chunks_exact_mut(col_size);
+                let outs = out_shards.claim(g).chunks_exact_mut(out_len);
+                let mut pooled_slots = pool_shards
+                    .as_ref()
+                    .map(|(p, a)| (p.claim(g), a.claim(g).chunks_exact_mut(out_len)));
+                for (j, (col, out_n)) in samples.zip(outs).enumerate() {
+                    let i = g * SAMPLE_BLOCK + j;
+                    let sample = &input_data[i * c * h * w..(i + 1) * c * h * w];
+                    match &mut pooled_slots {
+                        None => self.conv_sample(sample, h, w, col, out_n),
+                        Some((plane, args)) => {
+                            self.pooled_sample(sample, h, w, col, plane, out_n, args.next());
+                        }
+                    }
                 }
             });
         }
-        self.cache = Some(ConvCache { input_shape: [n, c, h, w], out_hw: (oh, ow), cols });
+        self.scratch = scratch;
+        self.cache = Some(ConvCache { input_shape: [n, c, h, w], out_hw: (oh, ow) });
         out
     }
 
@@ -360,93 +367,92 @@ impl Conv2d {
     /// accumulates the weight and bias gradients and, if `input_grad`,
     /// returns the input gradient (otherwise skips its GEMM, its col2im
     /// and its tensor). Each sample's `[C_out, OH·OW]` output gradient
-    /// is read from `grad_output` in place, or, for a pooled block
-    /// (`argmax` given), expanded from the pooled gradient through the
-    /// window argmax into the worker's scratch.
+    /// is read from `grad_output` in place, or, for a pooled block,
+    /// expanded from the pooled gradient through the window argmax into
+    /// its group's plane. Consumes the cache: the im2col shards now hold
+    /// `dcol`, so a second `backward` needs a new `forward`.
     fn backward_pass(
         &mut self,
         grad_output: &Tensor,
-        argmax: Option<&[u32]>,
+        pooled: bool,
         input_grad: bool,
     ) -> Option<Tensor> {
-        let cache = self.cache.as_ref().expect("backward before forward");
+        let cache = self.cache.take().expect("backward before forward");
         let [n, c, h, w] = cache.input_shape;
         let (oh, ow) = cache.out_hw;
-        let out_shape = self.out_shape(n, (oh, ow), argmax.is_some());
+        let out_shape = self.out_shape(n, (oh, ow), pooled);
         assert_eq!(grad_output.shape(), &out_shape, "bad grad shape for Conv2d");
         let grad_len: usize = out_shape[1..].iter().product();
         let col_rows = self.col_rows();
         let col_size = col_rows * oh * ow;
-        let out_plane = self.out_channels * oh * ow;
         let c_out = self.out_channels;
         let w_len = self.weight.grad.numel();
         let mut grad_input = input_grad.then(|| Tensor::zeros(&[n, c, h, w]));
         // Per-sample weight/bias gradient partials, reduced serially in
         // sample order below so the result is independent of how the
-        // pool schedules samples across threads. The buffers persist in
-        // the layer scratch and every element is overwritten per batch
-        // (the GEMM's overwrite store, the channel sums), so after the
-        // first batch they cost neither an allocation nor a fill.
-        let mut dw_vec = std::mem::take(&mut self.scratch.dw_partials);
-        let mut db_vec = std::mem::take(&mut self.scratch.db_partials);
-        dw_vec.reserve(n * w_len);
-        db_vec.reserve(n * c_out);
+        // pool schedules groups across threads. Every element is
+        // overwritten per batch (the GEMM's overwrite store, the channel
+        // sums), so after the first batch they cost neither an
+        // allocation nor a fill.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let dw_vec = scratch.dw_partials.reserve(n * w_len);
+        let db_vec = scratch.db_partials.reserve(n * c_out);
         if oh * ow > 0 {
             let grad = grad_output.data();
-            let cols = &cache.cols;
-            let dw_shards = Shards::new(&mut dw_vec[..n * w_len], w_len);
-            let db_shards = Shards::new(&mut db_vec[..n * c_out], c_out);
-            let gi_shards = grad_input.as_mut().map(|g| Shards::new(g.data_mut(), c * h * w));
-            let plane_len = if argmax.is_some() { out_plane } else { 0 };
+            let argmax = &scratch.argmax;
+            let col_shards = groups(&mut scratch.cols[..n * col_size], col_size);
+            let plane_shards =
+                pooled.then(|| Shards::new(&mut scratch.planes[..], c_out * oh * ow));
+            let dw_shards = groups(dw_vec, w_len);
+            let db_shards = groups(db_vec, c_out);
+            let gi_shards = grad_input.as_mut().map(|g| groups(g.data_mut(), c * h * w));
             let ohw = oh * ow;
-            let this = &*self;
-            pool::parallel_for(n, |i| {
-                let grad_n = &grad[i * grad_len..(i + 1) * grad_len];
-                let col = &cols[i * col_size..(i + 1) * col_size];
-                DCOL_SCRATCH.with(|cell| {
-                    let mut buf = cell.borrow_mut();
-                    // Reserved at `forward`'s length even when `dcol`
-                    // goes unused, so neither pass grows the buffer
-                    // the other warmed.
-                    let (dcol, plane) = buf.reserve(col_size + plane_len).split_at_mut(col_size);
-                    let dout_n: &[f32] = match argmax {
+            let wt = self.weight.value.data();
+            pool::parallel_for(n.div_ceil(SAMPLE_BLOCK), |g| {
+                let mut plane = plane_shards.as_ref().map(|p| p.claim(g));
+                let mut gis = gi_shards.as_ref().map(|s| s.claim(g).chunks_exact_mut(c * h * w));
+                let samples = col_shards.claim(g).chunks_exact_mut(col_size);
+                let partials = dw_shards.claim(g).chunks_exact_mut(w_len);
+                let partials = partials.zip(db_shards.claim(g).chunks_exact_mut(c_out));
+                for (j, (col, (dw_i, db_i))) in samples.zip(partials).enumerate() {
+                    let i = g * SAMPLE_BLOCK + j;
+                    let grad_n = &grad[i * grad_len..(i + 1) * grad_len];
+                    let dout_n: &[f32] = match plane.as_deref_mut() {
                         None => grad_n,
-                        Some(argmax) => {
+                        Some(plane) => {
                             let argmax_n = &argmax[i * grad_len..(i + 1) * grad_len];
                             relu_unpool2x2(grad_n, argmax_n, [c_out, oh, ow], plane);
                             plane
                         }
                     };
                     // dW_i [C_out, CKK] = dOut_i [C_out, OH·OW] · col_iᵀ
-                    let dw_i = dw_shards.claim(i);
                     sgemm_nt_with(Store::Overwrite, c_out, ohw, col_rows, dout_n, col, dw_i);
                     // db_i[co] = Σ dOut_i[co, :]
-                    channel_sums(dout_n, ohw, db_shards.claim(i));
-                    if let Some(gi_shards) = &gi_shards {
-                        // dcol [CKK, OH·OW] = Wᵀ · dOut_i
-                        let wt = this.weight.value.data();
-                        sgemm_tn_with(Store::Overwrite, col_rows, c_out, ohw, wt, dout_n, dcol);
-                        this.col2im(dcol, h, w, gi_shards.claim(i));
+                    channel_sums(dout_n, ohw, db_i);
+                    if let Some(gis) = &mut gis {
+                        // dcol [CKK, OH·OW] = Wᵀ · dOut_i, over the
+                        // im2col shard the dW GEMM has finished reading.
+                        sgemm_tn_with(Store::Overwrite, col_rows, c_out, ohw, wt, dout_n, col);
+                        self.col2im(col, h, w, gis.next().expect("one input gradient per sample"));
                     }
-                });
+                }
             });
         } else {
             // No output elements: every partial is an empty sum.
-            dw_vec[..n * w_len].fill(0.0);
-            db_vec[..n * c_out].fill(0.0);
+            dw_vec.fill(0.0);
+            db_vec.fill(0.0);
         }
         for i in 0..n {
-            let dw_i = &dw_vec[i * w_len..(i + 1) * w_len];
+            let dw_i = &scratch.dw_partials[i * w_len..(i + 1) * w_len];
             for (dst, &src) in self.weight.grad.data_mut().iter_mut().zip(dw_i) {
                 *dst += src;
             }
-            let db_i = &db_vec[i * c_out..(i + 1) * c_out];
+            let db_i = &scratch.db_partials[i * c_out..(i + 1) * c_out];
             for (dst, &src) in self.bias.grad.data_mut().iter_mut().zip(db_i) {
                 *dst += src;
             }
         }
-        self.scratch.dw_partials = dw_vec;
-        self.scratch.db_partials = db_vec;
+        self.scratch = scratch;
         grad_input
     }
 }
@@ -482,7 +488,7 @@ fn channel_sums(dout: &[f32], plane: usize, db: &mut [f32]) {
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.forward_pass(input, None)
+        self.forward_pass(input, false)
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
@@ -490,11 +496,11 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        self.backward_pass(grad_output, None, true).expect("input gradient")
+        self.backward_pass(grad_output, false, true).expect("input gradient")
     }
 
     fn backward_params(&mut self, grad_output: &Tensor) {
-        self.backward_pass(grad_output, None, false);
+        self.backward_pass(grad_output, false, false);
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
@@ -507,11 +513,11 @@ impl Layer for Conv2d {
 /// layer, bit-identical to that chain of [`Conv2d`], [`super::Relu`] and
 /// [`super::MaxPool2d`]`::new(2)`.
 ///
-/// Each sample's pre-activation plane lives only in the convolution's
-/// per-worker scratch: the fused ReLU and pool read it while it is
-/// still in cache, inside the same per-sample chunk as the im2col and
-/// GEMM. What `backward` needs is the convolution's im2col cache plus a
-/// `u32` argmax per pooled output (a per-layer workspace buffer), so no
+/// Each sample's pre-activation plane lives only in its sample group's
+/// plane of the convolution's workspace: the fused ReLU and pool read
+/// it while it is still in cache, right after the sample's im2col and
+/// GEMM. What `backward` needs is the convolution's im2col shards plus
+/// a `u32` argmax per pooled output, both in that workspace, so no
 /// full-size activation, mask or gradient tensor is allocated. The
 /// parameters are the wrapped convolution's, visited in its order.
 ///
@@ -529,24 +535,19 @@ impl Layer for Conv2d {
 #[derive(Debug)]
 pub struct ConvBlock {
     conv: Conv2d,
-    /// Window argmax of the last `forward`, `[N, C_out, OH/2, OW/2]`:
-    /// the sample-plane index of each window's first maximum, or
-    /// `NO_ARGMAX` when that maximum is ≤ 0 (ReLU passes no gradient).
-    /// Grown once to the largest batch (see [`crate::workspace`]).
-    argmax: Scratch<u32>,
 }
 
 impl ConvBlock {
     /// Wrap `conv` with the fused ReLU and 2×2 max-pool.
     #[must_use]
     pub fn new(conv: Conv2d) -> Self {
-        ConvBlock { conv, argmax: Scratch::new() }
+        ConvBlock { conv }
     }
 }
 
 impl Layer for ConvBlock {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.conv.forward_pass(input, Some(&mut self.argmax))
+        self.conv.forward_pass(input, true)
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
@@ -554,11 +555,11 @@ impl Layer for ConvBlock {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        self.conv.backward_pass(grad_output, Some(&self.argmax), true).expect("input gradient")
+        self.conv.backward_pass(grad_output, true, true).expect("input gradient")
     }
 
     fn backward_params(&mut self, grad_output: &Tensor) {
-        self.conv.backward_pass(grad_output, Some(&self.argmax), false);
+        self.conv.backward_pass(grad_output, true, false);
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
@@ -718,6 +719,27 @@ mod tests {
         for (x, y) in both.data()[half..].iter().zip(yb.data()) {
             assert!((x - y).abs() < 1e-5);
         }
+    }
+
+    /// `forward`, then `backward` twice. The im2col shards hold `dcol`
+    /// after the first `backward`, so the second must not run.
+    fn backward_twice(mut layer: impl Layer) {
+        let x = Tensor::randn(&[2, 1, 6, 6], 1.0, &mut StdRng::seed_from_u64(6));
+        let g = Tensor::zeros(layer.forward(&x).shape());
+        let _ = layer.backward(&g);
+        let _ = layer.backward(&g);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn conv_backward_consumes_the_cache() {
+        backward_twice(Conv2d::same(1, 2, 3, &mut StdRng::seed_from_u64(7)));
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn block_backward_consumes_the_cache() {
+        backward_twice(ConvBlock::new(Conv2d::same(1, 2, 3, &mut StdRng::seed_from_u64(7))));
     }
 
     #[test]

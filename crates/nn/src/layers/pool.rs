@@ -1,7 +1,7 @@
 use crate::{Layer, Tensor};
 
-/// Max pooling with square window and stride equal to the window size
-/// (the paper uses 2×2 after every convolution).
+/// 2×2 max pooling with stride 2, the paper's pooling after every
+/// convolution.
 ///
 /// Trailing rows/columns that do not fill a complete window are
 /// dropped (floor division), matching the common framework default.
@@ -19,7 +19,6 @@ use crate::{Layer, Tensor};
 /// ```
 #[derive(Debug)]
 pub struct MaxPool2d {
-    window: usize,
     cache: Option<PoolCache>,
 }
 
@@ -35,17 +34,11 @@ impl MaxPool2d {
     ///
     /// # Panics
     ///
-    /// Panics if `window` is zero.
+    /// Panics unless `window == 2`, the only window the paper uses.
     #[must_use]
     pub fn new(window: usize) -> Self {
-        assert!(window > 0, "pooling window must be non-zero");
-        MaxPool2d { window, cache: None }
-    }
-
-    /// Output spatial size for an `h x w` input.
-    #[must_use]
-    pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        (h / self.window, w / self.window)
+        assert_eq!(window, 2, "MaxPool2d pools 2x2 windows only");
+        MaxPool2d { cache: None }
     }
 
     /// Pool `input`, and when `argmax` is given, fill it with each
@@ -55,49 +48,17 @@ impl MaxPool2d {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "MaxPool2d expects [N, C, H, W]");
         let [n, c, h, w] = [shape[0], shape[1], shape[2], shape[3]];
-        let (oh, ow) = self.output_hw(h, w);
+        let (oh, ow) = (h / 2, w / 2);
         assert!(oh > 0 && ow > 0, "input {h}x{w} smaller than pooling window");
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
         if let Some(argmax) = argmax.as_deref_mut() {
             *argmax = vec![0; n * c * oh * ow];
         }
-        let data = input.data();
-        let out_data = out.data_mut();
-        if self.window == 2 {
-            // The paper's only pooling shape.
-            pool2x2(data, [n * c, h, w], out_data, |j, at| {
-                if let Some(argmax) = argmax.as_deref_mut() {
-                    argmax[j] = at;
-                }
-            });
-            return out;
-        }
-        for nc in 0..n * c {
-            let plane_base = nc * h * w;
-            let out_base = nc * oh * ow;
-            for oy in 0..oh {
-                let out_row = &mut out_data[out_base + oy * ow..][..ow];
-                let mut arg_row = argmax.as_deref_mut().map(|a| &mut a[out_base + oy * ow..][..ow]);
-                for (ox, o) in out_row.iter_mut().enumerate() {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
-                    for dy in 0..self.window {
-                        let row_base = plane_base + (oy * self.window + dy) * w;
-                        for dx in 0..self.window {
-                            let idx = row_base + ox * self.window + dx;
-                            if data[idx] > best {
-                                best = data[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    *o = best;
-                    if let Some(arg_row) = arg_row.as_deref_mut() {
-                        arg_row[ox] = best_idx;
-                    }
-                }
+        pool2x2(input.data(), [n * c, h, w], out.data_mut(), |j, at| {
+            if let Some(argmax) = argmax.as_deref_mut() {
+                argmax[j] = at;
             }
-        }
+        });
         out
     }
 }
@@ -275,6 +236,12 @@ mod tests {
         ], &[1, 1, 4, 4]);
         let y = pool.forward(&x);
         assert_eq!(y.data(), &[5.0, 8.0, 2.0, 7.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "2x2 windows only")]
+    fn other_windows_are_rejected() {
+        let _ = MaxPool2d::new(3);
     }
 
     #[test]

@@ -65,6 +65,19 @@ pub fn compute_mode() -> ComputeMode {
     ComputeMode::Pooled
 }
 
+/// Samples per chunk of the regions that fan a batch out by sample:
+/// the convolution layers' training passes and
+/// `SelectiveModel::infer_blocks`, which runs each block of this many
+/// wafers through the whole network as one batched forward (ragged
+/// tail allowed). 4 amortizes GEMM packing and per-call overhead while
+/// keeping a block's activation working set small enough (~100 KB at
+/// grid 32) that concurrent blocks don't thrash a shared cache; larger
+/// inference blocks measured slower on narrow hosts for exactly that
+/// reason. The conv layers keep one pooled plane per block, so their
+/// workspace grows with the batch shape only. Block boundaries never
+/// change results, only where the batch dimension is cut.
+pub const SAMPLE_BLOCK: usize = 4;
+
 /// Erased pointer to a `Fn(usize)` chunk body whose borrow outlives the
 /// job (guaranteed by `parallel_for` blocking until completion).
 struct FuncPtr(*const (dyn Fn(usize) + Sync));

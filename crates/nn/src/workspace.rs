@@ -1,18 +1,21 @@
 //! Hot-path scratch buffers with growth accounting.
 //!
-//! The training and serving hot paths reuse long-lived buffers —
-//! per-layer workspaces, per-thread thread-locals, trainer staging —
-//! instead of allocating per batch or per sample. The convolution
-//! layers' buffers are [`Scratch`]es, sized through [`Scratch::reserve`],
-//! which grows one at most to the largest size ever requested and
-//! **counts each growth** in the process-wide [`telemetry::global`]
-//! registry:
+//! The training and serving hot paths reuse long-lived buffers instead
+//! of allocating per batch or per sample. The convolution layers'
+//! buffers are [`Scratch`]es: each layer owns its training workspace,
+//! and the `&self` inference pass keeps one per-thread buffer, since a
+//! layer shared across workers cannot own mutable scratch. (The loss
+//! scratch and the trainer's staging are reused `Tensor`s and `Vec`s,
+//! outside this accounting.) A [`Scratch`] is sized through
+//! [`Scratch::reserve`], which grows it at most to the largest size
+//! ever requested and **counts each growth** in the process-wide
+//! [`telemetry::global`] registry:
 //!
 //! - `hotpath_scratch_grows_total` — number of buffer growths,
 //! - `hotpath_scratch_grow_bytes_total` — bytes added by growths,
 //! - `hotpath_scratch_bytes` — bytes held by live buffers (gauge): a
-//!   growth adds to it and dropping a buffer (a layer, or a thread and
-//!   its thread-locals) subtracts its bytes.
+//!   growth adds to it and dropping a buffer (with its layer, or with a
+//!   thread) subtracts its bytes.
 //!
 //! In steady state (fixed shapes after the first batch) the grow
 //! counter must stay flat: that is the workspace-growth contract,
