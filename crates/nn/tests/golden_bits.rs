@@ -3,7 +3,8 @@
 //! The Table I trunk's three pooled blocks (conv1–3 as `ConvBlock`, at
 //! inference batch 4) and two unpooled `Conv2d`s shaped like the
 //! auto-encoder decoder's, plus one small pooled block with odd spatial
-//! sizes, run `infer`, `forward`, `backward` and `backward_params` on
+//! sizes and one pooled and one unpooled layer at a ragged batch of 7,
+//! run `infer`, `forward`, `backward` and `backward_params` on
 //! parameters, inputs and gradients drawn from an in-test LCG (with
 //! ±0.0 and tied small values mixed in). Every result is hashed bit for
 //! bit and compared against constants pinned when the test was added.
@@ -165,4 +166,23 @@ fn odd_sized_block_keeps_its_bits() {
         odd,
         [0x0441cc9c0ec918c5, 0x0441cc9c0ec918c5, 0xbb6f4f30b0b41ae8, 0x07f27a71f6150631],
     )]);
+}
+
+/// Batch 7 splits into sample groups of 4 and 3, so the last group is
+/// ragged: its samples must reuse the group's buffers exactly like a
+/// full group's.
+#[test]
+fn ragged_batch_keeps_its_bits() {
+    check(&[
+        (
+            "conv2 at batch 7",
+            digest(|| Box::new(ConvBlock::new(conv(64, 32, 3))), [7, 64, 16, 16], 7),
+            [0x528048b5fa3376e5, 0x528048b5fa3376e5, 0x9ad03ccdaceb396d, 0xd586c17e8027b87f],
+        ),
+        (
+            "decoder 8→16 at batch 7",
+            digest(|| Box::new(conv(8, 16, 5)), [7, 8, 16, 16], 8),
+            [0x598d0f5904ba3541, 0x598d0f5904ba3541, 0x763c9cca787bc519, 0x646b3b55dec3fcb2],
+        ),
+    ]);
 }
