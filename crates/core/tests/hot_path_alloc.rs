@@ -1,13 +1,13 @@
 //! The workspace-growth contract of the training hot path.
 //!
 //! The counter behind it sees the `nn::workspace::Scratch` buffers,
-//! which are the convolution layers' own workspaces (im2col shards,
-//! pooled planes and argmax, gradient partials) and the per-thread
-//! inference scratch. Each is sized through `Scratch::reserve`, which
-//! grows a buffer at most once per high-water mark and counts each
-//! growth. After a warm-up epoch has visited every shape, further
-//! training must not grow any of them: the process-wide grow counter
-//! (`grow_count`) stays flat.
+//! which are the convolution layers' own workspaces (saved input,
+//! im2col buffers, pooled planes and argmax, gradient partials) and
+//! the per-thread inference scratch. Each is sized through
+//! `Scratch::reserve`, which grows a buffer at most once per
+//! high-water mark and counts each growth. After a warm-up epoch has
+//! visited every shape, further training must not grow any of them:
+//! the process-wide grow counter (`grow_count`) stays flat.
 //!
 //! The contract covers those buffers only, not every heap allocation:
 //! the loss scratch, the trainer's staging tensors, layer outputs,

@@ -4,9 +4,15 @@
 //! of allocating per batch or per sample. The convolution layers'
 //! buffers are [`Scratch`]es: each layer owns its training workspace,
 //! and the `&self` inference pass keeps one per-thread buffer, since a
-//! layer shared across workers cannot own mutable scratch. (The loss
-//! scratch and the trainer's staging are reused `Tensor`s and `Vec`s,
-//! outside this accounting.) A [`Scratch`] is sized through
+//! layer shared across workers cannot own mutable scratch. A layer's
+//! training workspace lives as long as the layer, so every kept model
+//! holds one: the last input (zero-padded), the pool argmax and the
+//! per-sample gradient partials, plus one im2col buffer and, for a
+//! pooled block, one pre-activation plane per group of
+//! [`crate::pool::SAMPLE_BLOCK`] samples (`conv.rs`'s `ConvScratch`
+//! gives each size). (The loss scratch and the trainer's staging are
+//! reused `Tensor`s and `Vec`s, outside this accounting.) A
+//! [`Scratch`] is sized through
 //! [`Scratch::reserve`], which grows it at most to the largest size
 //! ever requested and **counts each growth** in the process-wide
 //! [`telemetry::global`] registry:

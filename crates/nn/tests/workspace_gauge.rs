@@ -36,13 +36,23 @@ fn scratch_gauge_tracks_live_bytes() {
     assert_eq!(gauge(), base);
 
     // Training a conv layer grows only its own workspace, whichever
-    // workers run its samples, so dropping it gives every byte back.
+    // workers run its samples, by exactly the sizes `ConvScratch`
+    // documents (conv.rs), so dropping it gives every byte back. The
+    // im2col buffer exists once per group of `SAMPLE_BLOCK` samples: one
+    // per sample would hold 4× the `cols` bytes.
     nn::pool::set_thread_limit(4);
     let before = gauge();
-    let mut block = ConvBlock::new(Conv2d::same(1, 4, 3, &mut StdRng::seed_from_u64(0)));
-    let y = block.forward(&Tensor::zeros(&[8, 1, 8, 8]));
+    let mut block = ConvBlock::new(Conv2d::same(64, 32, 3, &mut StdRng::seed_from_u64(0)));
+    let y = block.forward(&Tensor::zeros(&[32, 64, 16, 16]));
     block.backward(&Tensor::zeros(y.shape()));
-    assert!(gauge() > before, "a live layer holds its workspace");
+    let (n, groups, ckk, plane) = (32, 32 / nn::pool::SAMPLE_BLOCK, 64 * 3 * 3, 16 * 16);
+    let elements = groups * ckk * plane // cols
+        + n * 64 * 18 * 18 // input, zero-padded
+        + groups * 32 * plane // planes
+        + n * 32 * 8 * 8 // argmax
+        + n * 32 * ckk // dw_partials
+        + n * 32; // db_partials
+    assert_eq!(gauge() - before, (elements * 4) as f64, "a layer holds its documented workspace");
     drop(block);
     assert_eq!(gauge(), before, "dropping the layer released every byte training grew");
 }
