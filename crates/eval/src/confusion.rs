@@ -23,19 +23,6 @@ pub struct ConfusionMatrix {
     counts: Vec<u64>,
 }
 
-/// Precision / recall / F1 for one class, plus its support.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ClassScores {
-    /// TP / (TP + FP); 0 when the class was never predicted.
-    pub precision: f64,
-    /// TP / (TP + FN); 0 when the class has no true samples.
-    pub recall: f64,
-    /// Harmonic mean of precision and recall; 0 when both are 0.
-    pub f1: f64,
-    /// Number of true samples of the class.
-    pub support: u64,
-}
-
 impl ConfusionMatrix {
     /// An empty `n_classes x n_classes` matrix.
     ///
@@ -160,17 +147,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// Bundle precision / recall / F1 / support for one class.
-    #[must_use]
-    pub fn class_scores(&self, class: usize) -> ClassScores {
-        ClassScores {
-            precision: self.precision(class),
-            recall: self.recall(class),
-            f1: self.f1(class),
-            support: self.support(class),
-        }
-    }
-
     /// Unweighted mean of per-class F1 scores (macro-F1) — more
     /// informative than accuracy under class imbalance, which is the
     /// core difficulty of the wafer dataset.
@@ -178,39 +154,6 @@ impl ConfusionMatrix {
     pub fn macro_f1(&self) -> f64 {
         let sum: f64 = (0..self.n_classes).map(|c| self.f1(c)).sum();
         sum / self.n_classes as f64
-    }
-
-    /// Cohen's kappa: agreement corrected for chance. 1.0 is perfect
-    /// agreement, 0.0 chance-level, negative worse than chance.
-    /// Returns 0 for an empty matrix or degenerate marginals.
-    #[must_use]
-    pub fn cohens_kappa(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let po = self.accuracy();
-        let pe: f64 = (0..self.n_classes)
-            .map(|c| {
-                (self.support(c) as f64 / total as f64) * (self.predicted(c) as f64 / total as f64)
-            })
-            .sum();
-        if (1.0 - pe).abs() < 1e-12 {
-            return 0.0;
-        }
-        (po - pe) / (1.0 - pe)
-    }
-
-    /// Merge another confusion matrix into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if class counts differ.
-    pub fn merge(&mut self, other: &ConfusionMatrix) {
-        assert_eq!(self.n_classes, other.n_classes, "class count mismatch");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
     }
 
     /// Render the matrix as an aligned text table with the given row /
@@ -283,7 +226,6 @@ mod tests {
         let f1 = cm.f1(1);
         let expect = 2.0 * (5.0 / 7.0) * 0.5 / ((5.0 / 7.0) + 0.5);
         assert!((f1 - expect).abs() < 1e-9);
-        assert_eq!(cm.class_scores(1).support, 10);
     }
 
     #[test]
@@ -302,15 +244,6 @@ mod tests {
         // Excluding class 2 (the "None"-like easy class).
         let acc = cm.accuracy_over(|c| c != 2);
         assert!((acc - 13.0 / 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = sample_matrix();
-        let b = sample_matrix();
-        a.merge(&b);
-        assert_eq!(a.total(), 60);
-        assert_eq!(a.count(1, 2), 10);
     }
 
     #[test]
@@ -334,33 +267,5 @@ mod tests {
         let cm = sample_matrix();
         let expect = (cm.f1(0) + cm.f1(1) + cm.f1(2)) / 3.0;
         assert!((cm.macro_f1() - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kappa_perfect_agreement_is_one() {
-        let mut cm = ConfusionMatrix::new(3);
-        for c in 0..3 {
-            for _ in 0..5 {
-                cm.record(c, c);
-            }
-        }
-        assert!((cm.cohens_kappa() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn kappa_chance_level_is_zero() {
-        // Predictor always says class 0, with uniform true classes:
-        // po = 1/2, pe = 1/2 -> kappa = 0.
-        let mut cm = ConfusionMatrix::new(2);
-        for _ in 0..10 {
-            cm.record(0, 0);
-            cm.record(1, 0);
-        }
-        assert!(cm.cohens_kappa().abs() < 1e-9);
-    }
-
-    #[test]
-    fn kappa_empty_is_zero() {
-        assert_eq!(ConfusionMatrix::new(4).cohens_kappa(), 0.0);
     }
 }

@@ -28,5 +28,5 @@
 mod confusion;
 mod selective;
 
-pub use confusion::{ClassScores, ConfusionMatrix};
-pub use selective::{aurc, RiskCoveragePoint, SelectiveMetrics, SelectiveOutcome};
+pub use confusion::ConfusionMatrix;
+pub use selective::{RiskCoveragePoint, SelectiveMetrics, SelectiveOutcome};

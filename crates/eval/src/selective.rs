@@ -211,49 +211,6 @@ impl RiskCoveragePoint {
     }
 }
 
-/// Area under the risk–coverage curve (AURC) by trapezoidal
-/// integration over coverage — the standard scalar summary of a
-/// selective classifier (lower is better; 0 means perfect selective
-/// ordering at every coverage).
-///
-/// Points are sorted by coverage internally; the curve is integrated
-/// between the smallest and largest observed coverages and normalized
-/// by that span, so it is comparable across sweeps with different
-/// ranges. Returns 0 for fewer than two distinct coverages.
-///
-/// # Example
-///
-/// ```
-/// use eval::{aurc, RiskCoveragePoint};
-///
-/// let points = vec![
-///     RiskCoveragePoint { target_coverage: 0.2, coverage: 0.2, selective_accuracy: 1.0, selective_risk: 0.0 },
-///     RiskCoveragePoint { target_coverage: 1.0, coverage: 1.0, selective_accuracy: 0.9, selective_risk: 0.1 },
-/// ];
-/// let a = aurc(&points);
-/// assert!((a - 0.05).abs() < 1e-9); // trapezoid of 0 -> 0.1
-/// ```
-#[must_use]
-pub fn aurc(points: &[RiskCoveragePoint]) -> f64 {
-    let mut sorted: Vec<&RiskCoveragePoint> = points.iter().collect();
-    sorted.sort_by(|a, b| a.coverage.partial_cmp(&b.coverage).unwrap_or(std::cmp::Ordering::Equal));
-    let mut area = 0.0f64;
-    let mut span = 0.0f64;
-    for pair in sorted.windows(2) {
-        let dc = pair[1].coverage - pair[0].coverage;
-        if dc <= 0.0 {
-            continue;
-        }
-        area += dc * (pair[0].selective_risk + pair[1].selective_risk) / 2.0;
-        span += dc;
-    }
-    if span <= 0.0 {
-        0.0
-    } else {
-        area / span
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,43 +281,5 @@ mod tests {
     fn abstain_outcome_has_no_label() {
         assert_eq!(SelectiveOutcome::Abstained.label(), None);
         assert_eq!(SelectiveOutcome::Predicted(4).label(), Some(4));
-    }
-
-    fn point(cov: f64, risk: f64) -> RiskCoveragePoint {
-        RiskCoveragePoint {
-            target_coverage: cov,
-            coverage: cov,
-            selective_accuracy: 1.0 - risk,
-            selective_risk: risk,
-        }
-    }
-
-    #[test]
-    fn aurc_of_flat_curve_is_its_risk() {
-        let pts = vec![point(0.2, 0.1), point(0.6, 0.1), point(1.0, 0.1)];
-        assert!((aurc(&pts) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn aurc_orders_better_selectors_lower() {
-        // Selector A: risk grows slowly with coverage; B: grows fast.
-        let a = vec![point(0.2, 0.0), point(0.6, 0.02), point(1.0, 0.1)];
-        let b = vec![point(0.2, 0.0), point(0.6, 0.09), point(1.0, 0.1)];
-        assert!(aurc(&a) < aurc(&b));
-    }
-
-    #[test]
-    fn aurc_is_sort_order_independent() {
-        let fwd = vec![point(0.2, 0.0), point(0.6, 0.05), point(1.0, 0.1)];
-        let mut rev = fwd.clone();
-        rev.reverse();
-        assert!((aurc(&fwd) - aurc(&rev)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn aurc_degenerate_inputs_are_zero() {
-        assert_eq!(aurc(&[]), 0.0);
-        assert_eq!(aurc(&[point(0.5, 0.2)]), 0.0);
-        assert_eq!(aurc(&[point(0.5, 0.2), point(0.5, 0.4)]), 0.0);
     }
 }

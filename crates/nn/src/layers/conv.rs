@@ -35,38 +35,33 @@ pub struct Conv2d {
     /// Weight stored `[C_out, C_in * k * k]` for direct GEMM use.
     weight: Param,
     bias: Param,
-    cache: Option<ConvCache>,
+    /// `[N, C_in, H, W]` of the last `forward`, all `backward` needs
+    /// besides [`ConvScratch`].
+    input_shape: Option<[usize; 4]>,
     scratch: ConvScratch,
 }
 
 thread_local! {
-    /// Reusable per-sample buffer of the `&self` inference pass, the one
-    /// conv scratch that is not the layer's own: a layer shared across
-    /// workers cannot hold mutable scratch. One per thread; pool workers
-    /// are persistent, so after warm-up the buffer never grows again
-    /// (the output tensor is still allocated per call). It holds the
-    /// sample's zero-padded `[C_in, H+2p, W+2p]` planes and their im2col
-    /// unfolding, followed, for a pooled [`ConvBlock`], by the sample's
-    /// `[C_out, OH, OW]` pre-activation plane: the training passes'
-    /// kernel on one sample. Nothing here is ever zeroed: `pad_sample`
-    /// writes every padded element (the border included), `im2col`
-    /// every column element, and the GEMM the plane.
-    static COL_SCRATCH: RefCell<Scratch<f32>> = const { RefCell::new(Scratch::new()) };
+    /// The workspace of the `&self` inference pass, one per thread: a
+    /// layer shared across workers cannot lend out its own. `infer`
+    /// fills only its `input`, `cols` and (pooled) `planes`, sized for
+    /// the largest batch any conv layer served on this thread; serving
+    /// infers blocks of [`SAMPLE_BLOCK`] wafers, so that is 4 padded
+    /// inputs, one im2col buffer and one plane. Pool workers are
+    /// persistent, so after warm-up it never grows again.
+    static INFER_SCRATCH: RefCell<ConvScratch> = RefCell::new(ConvScratch::default());
 }
 
-/// What `backward` needs of the last `forward` besides
-/// [`ConvScratch`]: the shapes.
-#[derive(Debug)]
-struct ConvCache {
-    input_shape: [usize; 4],
-    out_hw: (usize, usize),
-}
-
-/// Per-layer training workspace, grown once to the largest batch shape
-/// seen (see [`crate::workspace`]) and excluded from serialization.
-/// Its sizes depend only on the shapes, never on which worker runs
-/// which samples: the training passes fan out in groups of
-/// [`SAMPLE_BLOCK`] samples, and a group's shards are its own.
+/// The workspace of the one forward kernel and of `backward`, grown
+/// once to the largest batch shape seen (see [`crate::workspace`]).
+/// Each layer owns one for training, excluded from serialization;
+/// `infer` borrows its thread's [`INFER_SCRATCH`]. Its sizes depend
+/// only on the shapes, never on which worker runs which samples: the
+/// passes fan out in groups of [`SAMPLE_BLOCK`] samples, and a group's
+/// shards are its own. Nothing in it is ever zeroed: `pad_sample`
+/// writes every saved element (the border included), `im2col` every
+/// column element, the GEMMs every plane and `dcol` element, and
+/// `backward` every partial.
 ///
 /// After a batch of `n` samples, with `G = ⌈n / SAMPLE_BLOCK⌉` groups
 /// and `CKK = C_in·k·k`, it holds these many 4-byte elements:
@@ -74,13 +69,13 @@ struct ConvCache {
 /// - `cols`: `G·CKK·OH·OW`;
 /// - `input`: `n·C_in·(H+2p)·(W+2p)`;
 /// - `planes` (pooled only): `G·C_out·OH·OW`;
-/// - `argmax` (pooled only): `n·C_out·⌊OH/2⌋·⌊OW/2⌋`;
-/// - `dw_partials`: `n·C_out·CKK`;
-/// - `db_partials`: `n·C_out`.
+/// - `argmax` (pooled, training only): `n·C_out·⌊OH/2⌋·⌊OW/2⌋`;
+/// - `dw_partials` (training only): `n·C_out·CKK`;
+/// - `db_partials` (training only): `n·C_out`.
 ///
-/// Only the saved input and the partials grow with every sample; an
-/// im2col unfolding, 9× (3×3 kernel) to 25× (5×5) the input it
-/// unfolds, exists once per group.
+/// Only the saved input, the argmax and the partials grow with every
+/// sample; an im2col unfolding, 9× (3×3 kernel) to 25× (5×5) the input
+/// it unfolds, exists once per group.
 #[derive(Debug, Default)]
 struct ConvScratch {
     /// One `[C_in·k·k, OH·OW]` im2col buffer per sample group, reused
@@ -89,12 +84,12 @@ struct ConvScratch {
     /// `input`, its dW GEMM reads it, and the sample's `dcol` (the
     /// input-gradient GEMM's overwrite store) goes over it for col2im.
     cols: Scratch<f32>,
-    /// The last `forward`'s input, `[N, C_in, H+2p, W+2p]`: each
-    /// sample's planes zero-padded, so `im2col` is row copies. Written
-    /// group by group inside `forward`'s parallel region.
+    /// The last forward's input, `[N, C_in, H+2p, W+2p]`: each sample's
+    /// planes zero-padded, so `im2col` is row copies. Written group by
+    /// group inside the forward's parallel region.
     input: Scratch<f32>,
     /// Pooled block only: one `[C_out, OH, OW]` plane per sample group,
-    /// holding each sample's pre-activation in `forward` and its
+    /// holding each sample's pre-activation in the forward and its
     /// output gradient, expanded from the pooled one, in `backward`.
     planes: Scratch<f32>,
     /// Pooled block only: the window argmax of the last `forward`,
@@ -140,7 +135,7 @@ impl Conv2d {
             pad,
             weight,
             bias,
-            cache: None,
+            input_shape: None,
             scratch: ConvScratch::default(),
         }
     }
@@ -157,24 +152,16 @@ impl Conv2d {
         Conv2d::new(in_channels, out_channels, kernel, kernel / 2, rng)
     }
 
-    /// Output spatial size for an input of `h x w`.
+    /// Output spatial size for an input of `h x w`, at least 1×1.
     ///
     /// # Panics
     ///
     /// Panics if the padded input is smaller than the kernel.
-    #[must_use]
-    pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        let oh =
-            (h + 2 * self.pad).checked_sub(self.kernel - 1).expect("input smaller than kernel");
-        let ow =
-            (w + 2 * self.pad).checked_sub(self.kernel - 1).expect("input smaller than kernel");
-        (oh, ow)
-    }
-
-    /// Number of output channels.
-    #[must_use]
-    pub fn out_channels(&self) -> usize {
-        self.out_channels
+    fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
+        let out = |len: usize| {
+            (len + 2 * self.pad).checked_sub(self.kernel).expect("input smaller than kernel") + 1
+        };
+        (out(h), out(w))
     }
 
     fn col_rows(&self) -> usize {
@@ -195,27 +182,6 @@ impl Conv2d {
     /// `C_in·(H+2p)·(W+2p)`.
     fn padded_len(&self, h: usize, w: usize) -> usize {
         self.in_channels * (h + 2 * self.pad) * (w + 2 * self.pad)
-    }
-
-    /// The per-sample product shared by every pass:
-    /// `dst [C_out, OH·OW] = W [C_out, CKK] · im2col(padded)`, the bias
-    /// not yet added. `col` is overwritten with the sample's im2col
-    /// unfolding and `dst` by the GEMM's overwrite store.
-    fn product_sample(&self, padded: &[f32], h: usize, w: usize, col: &mut [f32], dst: &mut [f32]) {
-        let (oh, ow) = self.output_hw(h, w);
-        self.im2col(padded, h, w, col);
-        let weight = self.weight.value.data();
-        sgemm_with(Store::Overwrite, self.out_channels, self.col_rows(), oh * ow, weight, col, dst);
-    }
-
-    /// The per-sample kernel of [`Conv2d`]'s `forward` and `infer`:
-    /// `out_n = W · im2col(padded) + b`.
-    fn conv_sample(&self, padded: &[f32], h: usize, w: usize, col: &mut [f32], out_n: &mut [f32]) {
-        let (oh, ow) = self.output_hw(h, w);
-        self.product_sample(padded, h, w, col, out_n);
-        for (chunk, &b) in out_n.chunks_exact_mut(oh * ow).zip(self.bias.value.data()) {
-            chunk.iter_mut().for_each(|v| *v += b);
-        }
     }
 
     /// Copy one sample `[C_in, H, W]` into `padded [C_in, H+2p, W+2p]`,
@@ -303,108 +269,81 @@ impl Conv2d {
         }
     }
 
-    /// A pooled block's per-sample kernel: [`Conv2d::product_sample`]
-    /// into the pre-activation `plane`, then one pass of bias, ReLU and
-    /// 2×2 max-pool into `out_n`, recording the window argmax when
-    /// `argmax` is given.
-    #[allow(clippy::too_many_arguments)]
-    fn pooled_sample(
+    /// The one forward kernel of [`Conv2d`] and, when `pooled`, of a
+    /// [`ConvBlock`], on workspace `ws`. Per sample: zero-pad it into
+    /// `ws.input`, unfold it into its group's im2col buffer, multiply
+    /// `W [C_out, CKK] · col`, then add the bias or, pooled, run bias,
+    /// ReLU and 2×2 max-pool in one pass over its group's plane,
+    /// recording the window argmax for `backward` when `record_argmax`.
+    fn forward_pass(
         &self,
-        padded: &[f32],
-        h: usize,
-        w: usize,
-        col: &mut [f32],
-        plane: &mut [f32],
-        out_n: &mut [f32],
-        argmax: Option<&mut [u32]>,
-    ) {
-        let (oh, ow) = self.output_hw(h, w);
-        self.product_sample(padded, h, w, col, plane);
-        relu_pool2x2(plane, self.bias.value.data(), [self.out_channels, oh, ow], out_n, argmax);
-    }
-
-    /// The training forward of [`Conv2d`] and, when `pooled`, of a
-    /// [`ConvBlock`], whose window argmax it fills.
-    fn forward_pass(&mut self, input: &Tensor, pooled: bool) -> Tensor {
+        input: &Tensor,
+        pooled: bool,
+        ws: &mut ConvScratch,
+        record_argmax: bool,
+    ) -> Tensor {
         let ([n, c, h, w], (oh, ow)) = self.check_input(input);
         let out_shape = self.out_shape(n, (oh, ow), pooled);
         let out_len: usize = out_shape[1..].iter().product();
-        let col_size = self.col_rows() * oh * ow;
+        let (c_out, col_rows, ohw) = (self.out_channels, self.col_rows(), oh * ow);
         let padded_len = self.padded_len(h, w);
         let n_groups = n.div_ceil(SAMPLE_BLOCK);
         let mut out = Tensor::zeros(&out_shape);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        if oh * ow > 0 {
-            // One chunk per sample group: saved input planes, output
-            // planes, argmax rows, the im2col buffer and the
-            // pre-activation plane are disjoint per group, so the batch
-            // fans out across the worker pool with no cross-group
-            // state. Nothing is zeroed: `pad_sample` writes every saved
-            // element, `im2col` every column element and the GEMM every
-            // plane element.
-            let input_shards = groups(scratch.input.reserve(n * padded_len), padded_len);
-            let col_shards = Shards::new(scratch.cols.reserve(n_groups * col_size), col_size);
-            let pool_shards = pooled.then(|| {
-                let plane_len = self.out_channels * oh * ow;
-                (
-                    Shards::new(scratch.planes.reserve(n_groups * plane_len), plane_len),
-                    groups(scratch.argmax.reserve(n * out_len), out_len),
-                )
-            });
-            let out_shards = groups(out.data_mut(), out_len);
-            let input_data = input.data();
-            pool::parallel_for(n_groups, |g| {
-                let col = col_shards.claim(g);
-                let saved = input_shards.claim(g).chunks_exact_mut(padded_len);
-                let outs = out_shards.claim(g).chunks_exact_mut(out_len);
-                let mut pooled_slots = pool_shards
-                    .as_ref()
-                    .map(|(p, a)| (p.claim(g), a.claim(g).chunks_exact_mut(out_len)));
-                for (j, (padded, out_n)) in saved.zip(outs).enumerate() {
-                    let i = g * SAMPLE_BLOCK + j;
-                    self.pad_sample(&input_data[i * c * h * w..(i + 1) * c * h * w], h, w, padded);
-                    match &mut pooled_slots {
-                        None => self.conv_sample(padded, h, w, col, out_n),
-                        Some((plane, args)) => {
-                            self.pooled_sample(padded, h, w, col, plane, out_n, args.next());
+        // One chunk per sample group: saved input planes, output planes,
+        // argmax rows, the im2col buffer and the pre-activation plane
+        // are disjoint per group, so the batch fans out across the
+        // worker pool with no cross-group state.
+        let input_shards = groups(ws.input.reserve(n * padded_len), padded_len);
+        let col_shards = Shards::new(ws.cols.reserve(n_groups * col_rows * ohw), col_rows * ohw);
+        let plane_shards =
+            pooled.then(|| Shards::new(ws.planes.reserve(n_groups * c_out * ohw), c_out * ohw));
+        let argmax_shards =
+            (pooled && record_argmax).then(|| groups(ws.argmax.reserve(n * out_len), out_len));
+        let out_shards = groups(out.data_mut(), out_len);
+        let (input_data, weight, bias) =
+            (input.data(), self.weight.value.data(), self.bias.value.data());
+        pool::parallel_for(n_groups, |g| {
+            let col = col_shards.claim(g);
+            let mut plane = plane_shards.as_ref().map(|p| p.claim(g));
+            let mut argmax = argmax_shards.as_ref().map(|a| a.claim(g).chunks_exact_mut(out_len));
+            let saved = input_shards.claim(g).chunks_exact_mut(padded_len);
+            let outs = out_shards.claim(g).chunks_exact_mut(out_len);
+            for (j, (padded, out_n)) in saved.zip(outs).enumerate() {
+                let i = g * SAMPLE_BLOCK + j;
+                self.pad_sample(&input_data[i * c * h * w..(i + 1) * c * h * w], h, w, padded);
+                self.im2col(padded, h, w, col);
+                let product = plane.as_deref_mut().unwrap_or(&mut *out_n);
+                sgemm_with(Store::Overwrite, c_out, col_rows, ohw, weight, col, product);
+                match plane.as_deref() {
+                    None => {
+                        for (chunk, &b) in out_n.chunks_exact_mut(ohw).zip(bias) {
+                            chunk.iter_mut().for_each(|v| *v += b);
                         }
                     }
+                    Some(plane) => {
+                        let argmax_n = argmax.as_mut().and_then(Iterator::next);
+                        relu_pool2x2(plane, bias, [c_out, oh, ow], out_n, argmax_n);
+                    }
                 }
-            });
-        }
-        self.scratch = scratch;
-        self.cache = Some(ConvCache { input_shape: [n, c, h, w], out_hw: (oh, ow) });
+            }
+        });
         out
     }
 
-    /// The inference forward of [`Conv2d`] and, when `pooled`, of a
-    /// [`ConvBlock`].
-    fn infer_pass(&self, input: &Tensor, pooled: bool) -> Tensor {
-        let ([n, c, h, w], (oh, ow)) = self.check_input(input);
-        let out_shape = self.out_shape(n, (oh, ow), pooled);
-        let mut out = Tensor::zeros(&out_shape);
-        if oh * ow > 0 {
-            let padded_len = self.padded_len(h, w);
-            let col_size = self.col_rows() * oh * ow;
-            let plane_len = if pooled { self.out_channels * oh * ow } else { 0 };
-            let out_len: usize = out_shape[1..].iter().product();
-            let input_data = input.data();
-            COL_SCRATCH.with(|cell| {
-                let mut buf = cell.borrow_mut();
-                let buf = buf.reserve(padded_len + col_size + plane_len);
-                let (padded, rest) = buf.split_at_mut(padded_len);
-                let (col, plane) = rest.split_at_mut(col_size);
-                for (i, out_n) in out.data_mut().chunks_exact_mut(out_len).enumerate() {
-                    self.pad_sample(&input_data[i * c * h * w..(i + 1) * c * h * w], h, w, padded);
-                    if pooled {
-                        self.pooled_sample(padded, h, w, col, plane, out_n, None);
-                    } else {
-                        self.conv_sample(padded, h, w, col, out_n);
-                    }
-                }
-            });
-        }
+    /// `forward` of [`Conv2d`] and [`ConvBlock`]: [`Conv2d::forward_pass`]
+    /// on the layer's own workspace, keeping what `backward` needs.
+    fn train_forward(&mut self, input: &Tensor, pooled: bool) -> Tensor {
+        let mut ws = std::mem::take(&mut self.scratch);
+        let out = self.forward_pass(input, pooled, &mut ws, true);
+        self.scratch = ws;
+        self.input_shape = input.shape().try_into().ok();
         out
+    }
+
+    /// `infer` of [`Conv2d`] and [`ConvBlock`]: [`Conv2d::forward_pass`]
+    /// on this thread's [`INFER_SCRATCH`], with no argmax.
+    fn infer_forward(&self, input: &Tensor, pooled: bool) -> Tensor {
+        INFER_SCRATCH.with(|ws| self.forward_pass(input, pooled, &mut ws.borrow_mut(), false))
     }
 
     /// The one backward kernel of [`Conv2d`] and [`ConvBlock`]:
@@ -421,9 +360,8 @@ impl Conv2d {
         pooled: bool,
         input_grad: bool,
     ) -> Option<Tensor> {
-        let cache = self.cache.as_ref().expect("backward before forward");
-        let [n, c, h, w] = cache.input_shape;
-        let (oh, ow) = cache.out_hw;
+        let [n, c, h, w] = self.input_shape.expect("backward before forward");
+        let (oh, ow) = self.output_hw(h, w);
         let out_shape = self.out_shape(n, (oh, ow), pooled);
         assert_eq!(grad_output.shape(), &out_shape, "bad grad shape for Conv2d");
         let grad_len: usize = out_shape[1..].iter().product();
@@ -442,53 +380,46 @@ impl Conv2d {
         let mut scratch = std::mem::take(&mut self.scratch);
         let dw_vec = scratch.dw_partials.reserve(n * w_len);
         let db_vec = scratch.db_partials.reserve(n * c_out);
-        if oh * ow > 0 {
-            let grad = grad_output.data();
-            let (saved, argmax) = (&scratch.input, &scratch.argmax);
-            let n_groups = n.div_ceil(SAMPLE_BLOCK);
-            let col_shards = Shards::new(&mut scratch.cols[..n_groups * col_size], col_size);
-            let plane_shards =
-                pooled.then(|| Shards::new(&mut scratch.planes[..], c_out * oh * ow));
-            let dw_shards = groups(dw_vec, w_len);
-            let db_shards = groups(db_vec, c_out);
-            let gi_shards = grad_input.as_mut().map(|g| groups(g.data_mut(), c * h * w));
-            let ohw = oh * ow;
-            let wt = self.weight.value.data();
-            pool::parallel_for(n_groups, |g| {
-                let col = col_shards.claim(g);
-                let mut plane = plane_shards.as_ref().map(|p| p.claim(g));
-                let mut gis = gi_shards.as_ref().map(|s| s.claim(g).chunks_exact_mut(c * h * w));
-                let partials = dw_shards.claim(g).chunks_exact_mut(w_len);
-                let partials = partials.zip(db_shards.claim(g).chunks_exact_mut(c_out));
-                for (j, (dw_i, db_i)) in partials.enumerate() {
-                    let i = g * SAMPLE_BLOCK + j;
-                    self.im2col(&saved[i * padded_len..(i + 1) * padded_len], h, w, col);
-                    let grad_n = &grad[i * grad_len..(i + 1) * grad_len];
-                    let dout_n: &[f32] = match plane.as_deref_mut() {
-                        None => grad_n,
-                        Some(plane) => {
-                            let argmax_n = &argmax[i * grad_len..(i + 1) * grad_len];
-                            relu_unpool2x2(grad_n, argmax_n, [c_out, oh, ow], plane);
-                            plane
-                        }
-                    };
-                    // dW_i [C_out, CKK] = dOut_i [C_out, OH·OW] · col_iᵀ
-                    sgemm_nt_with(Store::Overwrite, c_out, ohw, col_rows, dout_n, col, dw_i);
-                    // db_i[co] = Σ dOut_i[co, :]
-                    channel_sums(dout_n, ohw, db_i);
-                    if let Some(gis) = &mut gis {
-                        // dcol [CKK, OH·OW] = Wᵀ · dOut_i, over the
-                        // unfolding the dW GEMM has finished reading.
-                        sgemm_tn_with(Store::Overwrite, col_rows, c_out, ohw, wt, dout_n, col);
-                        self.col2im(col, h, w, gis.next().expect("one input gradient per sample"));
+        let grad = grad_output.data();
+        let (saved, argmax) = (&scratch.input, &scratch.argmax);
+        let n_groups = n.div_ceil(SAMPLE_BLOCK);
+        let col_shards = Shards::new(&mut scratch.cols[..n_groups * col_size], col_size);
+        let plane_shards = pooled.then(|| Shards::new(&mut scratch.planes[..], c_out * oh * ow));
+        let dw_shards = groups(dw_vec, w_len);
+        let db_shards = groups(db_vec, c_out);
+        let gi_shards = grad_input.as_mut().map(|g| groups(g.data_mut(), c * h * w));
+        let ohw = oh * ow;
+        let wt = self.weight.value.data();
+        pool::parallel_for(n_groups, |g| {
+            let col = col_shards.claim(g);
+            let mut plane = plane_shards.as_ref().map(|p| p.claim(g));
+            let mut gis = gi_shards.as_ref().map(|s| s.claim(g).chunks_exact_mut(c * h * w));
+            let partials = dw_shards.claim(g).chunks_exact_mut(w_len);
+            let partials = partials.zip(db_shards.claim(g).chunks_exact_mut(c_out));
+            for (j, (dw_i, db_i)) in partials.enumerate() {
+                let i = g * SAMPLE_BLOCK + j;
+                self.im2col(&saved[i * padded_len..(i + 1) * padded_len], h, w, col);
+                let grad_n = &grad[i * grad_len..(i + 1) * grad_len];
+                let dout_n: &[f32] = match plane.as_deref_mut() {
+                    None => grad_n,
+                    Some(plane) => {
+                        let argmax_n = &argmax[i * grad_len..(i + 1) * grad_len];
+                        relu_unpool2x2(grad_n, argmax_n, [c_out, oh, ow], plane);
+                        plane
                     }
+                };
+                // dW_i [C_out, CKK] = dOut_i [C_out, OH·OW] · col_iᵀ
+                sgemm_nt_with(Store::Overwrite, c_out, ohw, col_rows, dout_n, col, dw_i);
+                // db_i[co] = Σ dOut_i[co, :]
+                channel_sums(dout_n, ohw, db_i);
+                if let Some(gis) = &mut gis {
+                    // dcol [CKK, OH·OW] = Wᵀ · dOut_i, over the
+                    // unfolding the dW GEMM has finished reading.
+                    sgemm_tn_with(Store::Overwrite, col_rows, c_out, ohw, wt, dout_n, col);
+                    self.col2im(col, h, w, gis.next().expect("one input gradient per sample"));
                 }
-            });
-        } else {
-            // No output elements: every partial is an empty sum.
-            dw_vec.fill(0.0);
-            db_vec.fill(0.0);
-        }
+            }
+        });
         add_partials(self.weight.grad.data_mut(), &scratch.dw_partials[..n * w_len]);
         add_partials(self.bias.grad.data_mut(), &scratch.db_partials[..n * c_out]);
         self.scratch = scratch;
@@ -578,11 +509,11 @@ fn channel_sums(dout: &[f32], plane: usize, db: &mut [f32]) {
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.forward_pass(input, false)
+        self.train_forward(input, false)
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
-        self.infer_pass(input, false)
+        self.infer_forward(input, false)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -637,11 +568,11 @@ impl ConvBlock {
 
 impl Layer for ConvBlock {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.conv.forward_pass(input, true)
+        self.conv.train_forward(input, true)
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
-        self.conv.infer_pass(input, true)
+        self.conv.infer_forward(input, true)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -831,6 +762,15 @@ mod tests {
     #[test]
     fn block_backward_repeats() {
         backward_twice(ConvBlock::new(Conv2d::same(2, 3, 3, &mut StdRng::seed_from_u64(7))));
+    }
+
+    /// A padded input smaller than the kernel has no output pixel; it
+    /// is rejected by name, not by the empty output tensor.
+    #[test]
+    #[should_panic(expected = "input smaller than kernel")]
+    fn input_smaller_than_kernel_is_rejected() {
+        let mut conv = Conv2d::new(1, 1, 3, 0, &mut StdRng::seed_from_u64(8));
+        let _ = conv.forward(&Tensor::zeros(&[1, 1, 2, 2]));
     }
 
     #[test]

@@ -38,18 +38,6 @@ impl Linear {
         let bias = Param::new(Tensor::zeros(&[out_features]));
         Linear { in_features, out_features, weight, bias, cached_input: None }
     }
-
-    /// Input feature count.
-    #[must_use]
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature count.
-    #[must_use]
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
 }
 
 impl Layer for Linear {

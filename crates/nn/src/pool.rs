@@ -44,7 +44,7 @@ use std::cell::Cell;
 use std::marker::PhantomData;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// The crate's compute implementation: blocked kernels on the
@@ -66,7 +66,7 @@ pub fn compute_mode() -> ComputeMode {
 }
 
 /// Samples per chunk of the regions that fan a batch out by sample:
-/// the convolution layers' training passes and
+/// the convolution layers' passes (training and inference) and
 /// `SelectiveModel::infer_blocks`, which runs each block of this many
 /// wafers through the whole network as one batched forward (ragged
 /// tail allowed). 4 amortizes GEMM packing and per-call overhead while
@@ -379,13 +379,22 @@ where
 /// Splits a slice into `ceil(len / chunk_len)` consecutive shards of
 /// `chunk_len` elements (the last may be shorter). Each shard can be
 /// [`claim`](Shards::claim)ed **at most once** — a second claim of the
-/// same index panics — which is what makes handing `&mut` views out of
-/// a shared `&self` sound.
+/// same index panics, as does an index past the last shard — which is
+/// what makes handing `&mut` views out of a shared `&self` sound.
+///
+/// The claim flags of shards 0..64 are the bits of one inline word, so
+/// a `Shards` of up to 64 shards (every per-sample GEMM and every
+/// conv fan-out of the Table I shapes) costs no heap allocation; only
+/// shards 64 and up get a flag in a `Vec`.
 pub struct Shards<'a, T> {
     base: *mut T,
     len: usize,
     chunk_len: usize,
-    claimed: Vec<AtomicBool>,
+    count: usize,
+    /// Claim bit `i` of shard `i < 64`.
+    low: AtomicU64,
+    /// Claim flag of shard `64 + i`; empty for 64 shards or fewer.
+    high: Vec<AtomicBool>,
     _marker: PhantomData<&'a mut [T]>,
 }
 
@@ -409,7 +418,9 @@ impl<'a, T> Shards<'a, T> {
             base: slice.as_mut_ptr(),
             len: slice.len(),
             chunk_len,
-            claimed: (0..count).map(|_| AtomicBool::new(false)).collect(),
+            count,
+            low: AtomicU64::new(0),
+            high: (64..count).map(|_| AtomicBool::new(false)).collect(),
             _marker: PhantomData,
         }
     }
@@ -417,7 +428,7 @@ impl<'a, T> Shards<'a, T> {
     /// Number of shards.
     #[must_use]
     pub fn count(&self) -> usize {
-        self.claimed.len()
+        self.count
     }
 
     /// Take exclusive ownership of shard `index`.
@@ -429,11 +440,17 @@ impl<'a, T> Shards<'a, T> {
     #[must_use]
     #[allow(clippy::mut_from_ref)] // exclusivity enforced by the claim flag
     pub fn claim(&self, index: usize) -> &mut [T] {
-        let already = self.claimed[index].swap(true, Ordering::AcqRel);
+        assert!(index < self.count, "shard {index} out of range of {} shards", self.count);
+        let already = if index < 64 {
+            let bit = 1u64 << index;
+            self.low.fetch_or(bit, Ordering::AcqRel) & bit != 0
+        } else {
+            self.high[index - 64].swap(true, Ordering::AcqRel)
+        };
         assert!(!already, "shard {index} claimed twice");
         let start = index * self.chunk_len;
         let end = (start + self.chunk_len).min(self.len);
-        // SAFETY: `claimed[index]` guarantees this range is handed out
+        // SAFETY: the claim flag guarantees this range is handed out
         // exactly once, ranges for distinct indices are disjoint, and
         // the parent slice is mutably borrowed for `'a`.
         unsafe { std::slice::from_raw_parts_mut(self.base.add(start), end - start) }
@@ -494,6 +511,31 @@ mod tests {
         let shards = Shards::new(&mut data, 4);
         let _a = shards.claim(1);
         let _b = shards.claim(1);
+    }
+
+    /// Shards below 64 claim a bit of the inline word, the rest a flag
+    /// of the heap table; both reject a second claim, and an index
+    /// past the last shard is rejected before either is touched.
+    #[test]
+    fn claims_past_the_inline_word_are_checked() {
+        let mut data = vec![0u8; 130 * 2];
+        let shards = Shards::new(&mut data, 2);
+        assert_eq!(shards.count(), 130);
+        for i in 0..130 {
+            shards.claim(i).fill(i as u8);
+        }
+        for (index, expected) in [
+            (3, "shard 3 claimed twice"),
+            (100, "shard 100 claimed twice"),
+            (130, "shard 130 out of range of 130 shards"),
+        ] {
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| shards.claim(index).len()))
+                .expect_err("the claim must panic");
+            let msg = err.downcast_ref::<String>().expect("formatted panic message");
+            assert_eq!(msg, expected);
+        }
+        drop(shards);
+        assert!(data.chunks_exact(2).enumerate().all(|(i, c)| c == [i as u8; 2]));
     }
 
     #[test]

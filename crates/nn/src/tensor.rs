@@ -139,23 +139,6 @@ impl Tensor {
         Tensor { shape: shape.to_vec(), data: self.data.clone() }
     }
 
-    /// In-place reshape (no data movement).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new shape's element count differs.
-    pub fn reshape(&mut self, shape: &[usize]) {
-        let numel = checked_numel(shape);
-        assert_eq!(
-            numel,
-            self.data.len(),
-            "reshape {:?} -> {:?} changes element count",
-            self.shape,
-            shape
-        );
-        self.shape = shape.to_vec();
-    }
-
     /// Fill every element with `value`.
     pub fn fill(&mut self, value: f32) {
         self.data.iter_mut().for_each(|v| *v = value);
@@ -232,23 +215,6 @@ impl Tensor {
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
     }
-
-    /// 2-D matrix multiply: `self [m,k] x other [k,n] -> [m,n]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either tensor is not 2-D or inner dimensions differ.
-    #[must_use]
-    pub fn matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul lhs must be 2-D");
-        assert_eq!(other.shape.len(), 2, "matmul rhs must be 2-D");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
-        let mut out = Tensor::zeros(&[m, n]);
-        crate::gemm::sgemm(m, k, n, &self.data, &other.data, out.data_mut());
-        out
-    }
 }
 
 fn checked_numel(shape: &[usize]) -> usize {
@@ -298,25 +264,6 @@ mod tests {
     fn reshape_rejects_bad_count() {
         let t = Tensor::zeros(&[2, 3]);
         let _ = t.reshaped(&[4, 2]);
-    }
-
-    #[test]
-    fn matmul_small_known_answer() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let b = Tensor::from_vec(vec![5.0, 6.0, 7.0, 8.0], &[2, 2]);
-        let c = a.matmul(&b);
-        assert_eq!(c.data(), &[19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
-    fn matmul_identity() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let a = Tensor::randn(&[3, 3], 1.0, &mut rng);
-        let eye = Tensor::from_vec(vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], &[3, 3]);
-        let c = a.matmul(&eye);
-        for (x, y) in c.data().iter().zip(a.data()) {
-            assert!((x - y).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -2,17 +2,19 @@
 //!
 //! The training and serving hot paths reuse long-lived buffers instead
 //! of allocating per batch or per sample. The convolution layers'
-//! buffers are [`Scratch`]es: each layer owns its training workspace,
-//! and the `&self` inference pass keeps one per-thread buffer, since a
-//! layer shared across workers cannot own mutable scratch. A layer's
-//! training workspace lives as long as the layer, so every kept model
+//! buffers are [`Scratch`]es, grouped in one workspace type
+//! (`conv.rs`'s `ConvScratch`, which gives each size) that their one
+//! forward kernel takes as an argument: each layer owns one for
+//! training, and the `&self` inference pass borrows one per thread,
+//! since a layer shared across workers cannot lend out its own. A
+//! layer's workspace lives as long as the layer, so every kept model
 //! holds one: the last input (zero-padded), the pool argmax and the
 //! per-sample gradient partials, plus one im2col buffer and, for a
 //! pooled block, one pre-activation plane per group of
-//! [`crate::pool::SAMPLE_BLOCK`] samples (`conv.rs`'s `ConvScratch`
-//! gives each size). (The loss scratch and the trainer's staging are
-//! reused `Tensor`s and `Vec`s, outside this accounting.) A
-//! [`Scratch`] is sized through
+//! [`crate::pool::SAMPLE_BLOCK`] samples. A thread's holds only the
+//! input, im2col and plane terms, for the largest batch it served.
+//! (The loss scratch and the trainer's staging are reused `Tensor`s
+//! and `Vec`s, outside this accounting.) A [`Scratch`] is sized through
 //! [`Scratch::reserve`], which grows it at most to the largest size
 //! ever requested and **counts each growth** in the process-wide
 //! [`telemetry::global`] registry:

@@ -7,6 +7,9 @@
 //! window maxima, ±0.0 inputs and gradients, windows whose maximum is
 //! ≤ 0, odd spatial sizes (the trailing row or column is dropped), a
 //! single sample, and a smaller (ragged) batch after a larger one.
+//! Batches run up to 9 samples, so a pass spans up to three sample
+//! groups, a ragged last one included, and `infer` fans them out
+//! across the pool as `forward` does.
 //!
 //! `backward_params` (parameter gradients only, no input gradient) must
 //! leave the same weight and bias gradients as `backward`, bit for bit,
@@ -119,7 +122,7 @@ proptest! {
     #[test]
     fn conv_block_matches_conv_relu_maxpool_bitwise(
         seed in any::<u64>(),
-        batches in (1usize..5, 1usize..5),
+        batches in (1usize..10, 1usize..10),
         c_in in 1usize..4,
         c_out in 1usize..5,
         kernel in prop_oneof![Just(1usize), Just(3), Just(5)],
@@ -199,7 +202,7 @@ proptest! {
     #[test]
     fn backward_params_matches_backward_bitwise(
         seed in any::<u64>(),
-        batches in (1usize..5, 1usize..5),
+        batches in (1usize..10, 1usize..10),
         c_in in 1usize..4,
         c_out in 1usize..10,
         kernel in prop_oneof![Just(1usize), Just(3), Just(5)],

@@ -15,32 +15,6 @@ fn rand_tensor(shape: &[usize], seed: u64) -> Tensor {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// GEMM distributes over addition: (A + B)·C = A·C + B·C.
-    #[test]
-    fn gemm_is_linear(seed in any::<u64>(), m in 1usize..6, k in 1usize..6, n in 1usize..6) {
-        let a = rand_tensor(&[m, k], seed);
-        let b = rand_tensor(&[m, k], seed ^ 1);
-        let c = rand_tensor(&[k, n], seed ^ 2);
-        let lhs = a.add(&b).matmul(&c);
-        let rhs = a.matmul(&c).add(&b.matmul(&c));
-        for (x, y) in lhs.data().iter().zip(rhs.data()) {
-            prop_assert!((x - y).abs() < 1e-3, "{x} vs {y}");
-        }
-    }
-
-    /// Matrix multiplication is associative: (A·B)·C = A·(B·C).
-    #[test]
-    fn gemm_is_associative(seed in any::<u64>(), n in 1usize..6) {
-        let a = rand_tensor(&[n, n], seed);
-        let b = rand_tensor(&[n, n], seed ^ 3);
-        let c = rand_tensor(&[n, n], seed ^ 4);
-        let lhs = a.matmul(&b).matmul(&c);
-        let rhs = a.matmul(&b.matmul(&c));
-        for (x, y) in lhs.data().iter().zip(rhs.data()) {
-            prop_assert!((x - y).abs() < 1e-2, "{x} vs {y}");
-        }
-    }
-
     /// Softmax output is a probability row-distribution and is
     /// invariant to per-row shifts.
     #[test]

@@ -55,4 +55,21 @@ fn scratch_gauge_tracks_live_bytes() {
     assert_eq!(gauge() - before, (elements * 4) as f64, "a layer holds its documented workspace");
     drop(block);
     assert_eq!(gauge(), before, "dropping the layer released every byte training grew");
+
+    // `infer` runs the same kernel on the calling thread's own
+    // workspace: one group's padded inputs, im2col buffer and plane,
+    // and no argmax or partials, which only `backward` reads. Batch 4
+    // is one group, so it runs on this thread, whose workspace is
+    // still empty.
+    let block = ConvBlock::new(Conv2d::same(64, 32, 3, &mut StdRng::seed_from_u64(0)));
+    let x = Tensor::zeros(&[4, 64, 16, 16]);
+    let before = gauge();
+    let _ = block.infer(&x);
+    let elements = 4 * 64 * 18 * 18 // input, zero-padded
+        + ckk * plane // cols
+        + 32 * plane; // planes
+    assert_eq!(gauge() - before, (elements * 4) as f64, "a thread holds its documented workspace");
+    let grows = nn::workspace::grow_count();
+    let _ = block.infer(&x);
+    assert_eq!(nn::workspace::grow_count(), grows, "a second infer of the same shape grew");
 }

@@ -16,8 +16,6 @@
 //!   [`Window`]: a ring buffer of the most recent samples plus exact
 //!   running `count`/`sum`, so accumulators are **O(window) memory
 //!   over unbounded streams** while totals stay exact.
-//! - [`Timer`] — scoped wall-clock timing that records elapsed
-//!   seconds into a histogram when stopped or dropped.
 //!
 //! Two exposition formats read the same data:
 //!
@@ -63,6 +61,6 @@ mod window;
 pub use exposition::{parse_exposition, Exposition, ExpositionError};
 pub use registry::{
     global, Counter, CounterSample, Gauge, GaugeSample, Histogram, HistogramSample, Registry,
-    Snapshot, Timer,
+    Snapshot,
 };
 pub use window::{Window, WindowSummary, DEFAULT_WINDOW};

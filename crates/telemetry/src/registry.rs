@@ -2,7 +2,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -106,20 +105,6 @@ impl Histogram {
         self.0.lock().expect("histogram lock").observe(value);
     }
 
-    /// Start a wall-clock timer that records elapsed seconds here.
-    #[must_use]
-    pub fn start_timer(&self) -> Timer {
-        Timer { histogram: self.clone(), start: Instant::now(), recorded: false }
-    }
-
-    /// Time one closure, recording its elapsed seconds.
-    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
-        let timer = self.start_timer();
-        let out = f();
-        let _ = timer.stop();
-        out
-    }
-
     /// Point-in-time summary (stream totals + window distribution).
     #[must_use]
     pub fn summary(&self) -> WindowSummary {
@@ -142,33 +127,6 @@ impl Histogram {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.0.lock().expect("histogram lock").capacity()
-    }
-}
-
-/// Scoped wall-clock timer: records elapsed seconds into its
-/// histogram when [`Timer::stop`]ped, or on drop if never stopped.
-#[derive(Debug)]
-pub struct Timer {
-    histogram: Histogram,
-    start: Instant,
-    recorded: bool,
-}
-
-impl Timer {
-    /// Stop the timer, record the elapsed seconds, and return them.
-    pub fn stop(mut self) -> f64 {
-        self.recorded = true;
-        let elapsed = self.start.elapsed().as_secs_f64();
-        self.histogram.observe(elapsed);
-        elapsed
-    }
-}
-
-impl Drop for Timer {
-    fn drop(&mut self) {
-        if !self.recorded {
-            self.histogram.observe(self.start.elapsed().as_secs_f64());
-        }
     }
 }
 
@@ -553,19 +511,6 @@ mod tests {
         assert!(text.contains("latency_seconds{quantile=\"0.5\"} 0.25"));
         assert!(text.contains("latency_seconds_sum 0.25"));
         assert!(text.contains("latency_seconds_count 1"));
-    }
-
-    #[test]
-    fn timer_records_on_stop_and_on_drop() {
-        let r = Registry::new();
-        let h = r.histogram("t_seconds", "T", 4);
-        let elapsed = h.start_timer().stop();
-        assert!(elapsed >= 0.0);
-        {
-            let _t = h.start_timer();
-        }
-        h.time(|| ());
-        assert_eq!(h.summary().count, 3);
     }
 
     #[test]

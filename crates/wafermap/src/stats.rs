@@ -1,72 +1,8 @@
-//! Descriptive statistics over wafer maps and datasets: per-class
-//! fail-ratio summaries and radial fail profiles. Useful for sanity
-//! checking generated data and for characterizing distribution shift.
+//! Descriptive statistics over wafer maps: radial fail profiles.
+//! Useful for sanity checking generated data and for characterizing
+//! distribution shift.
 
-use serde::{Deserialize, Serialize};
-
-use crate::{Dataset, DefectClass, WaferMap};
-
-/// Summary statistics of one class within a dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ClassStats {
-    /// Samples of the class.
-    pub count: usize,
-    /// Mean fraction of on-wafer dies that fail.
-    pub mean_fail_ratio: f32,
-    /// Standard deviation of the fail ratio.
-    pub std_fail_ratio: f32,
-    /// Minimum fail ratio observed.
-    pub min_fail_ratio: f32,
-    /// Maximum fail ratio observed.
-    pub max_fail_ratio: f32,
-}
-
-impl ClassStats {
-    fn from_ratios(ratios: &[f32]) -> Self {
-        if ratios.is_empty() {
-            return ClassStats {
-                count: 0,
-                mean_fail_ratio: 0.0,
-                std_fail_ratio: 0.0,
-                min_fail_ratio: 0.0,
-                max_fail_ratio: 0.0,
-            };
-        }
-        let n = ratios.len() as f32;
-        let mean = ratios.iter().sum::<f32>() / n;
-        let var = ratios.iter().map(|r| (r - mean) * (r - mean)).sum::<f32>() / n;
-        ClassStats {
-            count: ratios.len(),
-            mean_fail_ratio: mean,
-            std_fail_ratio: var.sqrt(),
-            min_fail_ratio: ratios.iter().copied().fold(f32::INFINITY, f32::min),
-            max_fail_ratio: ratios.iter().copied().fold(f32::NEG_INFINITY, f32::max),
-        }
-    }
-}
-
-/// Per-class statistics for a dataset, indexed by
-/// [`DefectClass::index`].
-///
-/// # Example
-///
-/// ```
-/// use wafermap::{gen::SyntheticWm811k, stats::dataset_stats, DefectClass};
-///
-/// let (train, _) = SyntheticWm811k::new(16).scale(0.002).seed(1).build();
-/// let stats = dataset_stats(&train);
-/// let nf = stats[DefectClass::NearFull.index()];
-/// let none = stats[DefectClass::None.index()];
-/// assert!(nf.mean_fail_ratio > none.mean_fail_ratio);
-/// ```
-#[must_use]
-pub fn dataset_stats(dataset: &Dataset) -> [ClassStats; DefectClass::COUNT] {
-    let mut ratios: [Vec<f32>; DefectClass::COUNT] = Default::default();
-    for s in dataset {
-        ratios[s.label.index()].push(s.map.fail_ratio());
-    }
-    std::array::from_fn(|i| ClassStats::from_ratios(&ratios[i]))
-}
+use crate::WaferMap;
 
 /// Radial fail-density profile: the wafer is split into `n_bins`
 /// concentric annuli of equal radial width and each bin reports the
@@ -98,33 +34,6 @@ pub fn radial_profile(map: &WaferMap, n_bins: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Angular fail-density profile: `n_bins` equal angular sectors, each
-/// reporting its fail fraction. Edge-Loc arcs produce a single bump;
-/// edge rings are flat.
-///
-/// # Panics
-///
-/// Panics if `n_bins` is zero.
-#[must_use]
-pub fn angular_profile(map: &WaferMap, n_bins: usize) -> Vec<f32> {
-    assert!(n_bins > 0, "need at least one angular bin");
-    let (cx, cy) = map.center();
-    let tau = 2.0 * std::f32::consts::PI;
-    let mut fails = vec![0u32; n_bins];
-    let mut totals = vec![0u32; n_bins];
-    for (x, y, die) in map.iter_on_wafer() {
-        let theta = (y as f32 - cy).atan2(x as f32 - cx).rem_euclid(tau);
-        let bin = ((theta / tau) * n_bins as f32).clamp(0.0, n_bins as f32 - 1.0) as usize;
-        totals[bin] += 1;
-        if die.is_fail() {
-            fails[bin] += 1;
-        }
-    }
-    (0..n_bins)
-        .map(|b| if totals[b] == 0 { 0.0 } else { fails[b] as f32 / totals[b] as f32 })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use rand::rngs::StdRng;
@@ -132,7 +41,7 @@ mod tests {
 
     use super::*;
     use crate::gen::{generate, GenConfig};
-    use crate::Die;
+    use crate::{DefectClass, Die};
 
     #[test]
     fn center_peaks_inner_edge_ring_peaks_outer() {
@@ -147,35 +56,6 @@ mod tests {
     }
 
     #[test]
-    fn angular_profile_flags_edge_loc_arc() {
-        let cfg = GenConfig::new(32).with_background_fail_rate(0.0, 0.0);
-        let mut rng = StdRng::seed_from_u64(2);
-        let arc = generate(DefectClass::EdgeLoc, &cfg, &mut rng);
-        let profile = angular_profile(&arc, 8);
-        let max = profile.iter().copied().fold(0.0f32, f32::max);
-        let nonzero = profile.iter().filter(|&&v| v > max * 0.5).count();
-        assert!(nonzero <= 5, "edge-loc arc spread over {nonzero} of 8 sectors: {profile:?}");
-    }
-
-    #[test]
-    fn dataset_stats_counts_match() {
-        let (train, _) = crate::gen::SyntheticWm811k::new(16).scale(0.002).seed(3).build();
-        let stats = dataset_stats(&train);
-        let counts = train.class_counts();
-        for class in DefectClass::ALL {
-            assert_eq!(stats[class.index()].count, counts[class.index()]);
-        }
-    }
-
-    #[test]
-    fn empty_class_stats_are_zero() {
-        let ds = Dataset::new(8);
-        let stats = dataset_stats(&ds);
-        assert_eq!(stats[0].count, 0);
-        assert_eq!(stats[0].mean_fail_ratio, 0.0);
-    }
-
-    #[test]
     fn uniform_failures_give_flat_profiles() {
         let mut map = WaferMap::blank(20, 20);
         let coords: Vec<(usize, usize)> = map.iter_on_wafer().map(|(x, y, _)| (x, y)).collect();
@@ -183,9 +63,6 @@ mod tests {
             map.set(x, y, Die::Fail);
         }
         for v in radial_profile(&map, 4) {
-            assert!((v - 1.0).abs() < 1e-6);
-        }
-        for v in angular_profile(&map, 4) {
             assert!((v - 1.0).abs() < 1e-6);
         }
     }
