@@ -250,7 +250,7 @@ impl Augmenter {
                     *v += gaussian(&mut rng) * self.config.sigma0;
                 }
                 let decoded = ae.decode(&z_prime);
-                let quantized = ops::quantize(decoded.data(), &s.map)
+                let quantized = WaferMap::from_image_masked(decoded.data(), &s.map)
                     .expect("decoder output matches the wafer grid");
                 let angle = if n_r > 1 { i as f32 * 360.0 / n_r as f32 } else { 0.0 };
                 let rotated = ops::rotate(&quantized, angle);

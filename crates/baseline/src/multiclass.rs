@@ -78,12 +78,6 @@ impl SvmBaseline {
         &self.classes
     }
 
-    /// Number of pairwise machines (`k·(k−1)/2`).
-    #[must_use]
-    pub fn machine_count(&self) -> usize {
-        self.machines.len()
-    }
-
     /// Predict the defect class of one wafer map by majority vote.
     #[must_use]
     pub fn predict(&self, map: &WaferMap) -> DefectClass {
@@ -137,7 +131,7 @@ mod tests {
         let (train, _) = SyntheticWm811k::new(16).scale(0.001).seed(1).build();
         let model = SvmBaseline::train(&train, &FeatureConfig::default(), &SvmParams::default(), 2);
         // All nine classes present: 9·8/2 = 36 machines.
-        assert_eq!(model.machine_count(), 36);
+        assert_eq!(model.machines.len(), 36);
         assert_eq!(model.classes().len(), 9);
     }
 
@@ -157,7 +151,7 @@ mod tests {
         let test2 = test.filtered(keep);
         let model =
             SvmBaseline::train(&train2, &FeatureConfig::default(), &SvmParams::default(), 6);
-        assert_eq!(model.machine_count(), 1);
+        assert_eq!(model.machines.len(), 1);
         let cm = model.evaluate(&test2);
         assert!(cm.accuracy() > 0.9, "easy pair accuracy {:.3}", cm.accuracy());
     }

@@ -108,12 +108,6 @@ impl CheckpointBundle {
         }
     }
 
-    /// Format version this bundle was written with.
-    #[must_use]
-    pub fn format_version(&self) -> u32 {
-        self.format_version
-    }
-
     /// Architecture of the bundled model.
     #[must_use]
     pub fn model_config(&self) -> &SelectiveConfig {
@@ -138,9 +132,12 @@ impl CheckpointBundle {
     ///
     /// # Errors
     ///
-    /// Returns [`BundleError::Restore`] if the state dict does not
-    /// match the stored architecture (a corrupted bundle).
+    /// Returns [`BundleError::Architecture`] if the stored architecture
+    /// breaks [`SelectiveConfig::validate`], and
+    /// [`BundleError::Restore`] if the state dict does not match it (a
+    /// corrupted bundle).
     pub fn build_model(&self) -> Result<SelectiveModel, BundleError> {
+        self.model.validate().map_err(BundleError::Architecture)?;
         let mut model = SelectiveModel::new(&self.model, 0);
         model.load_state_dict(&self.params).map_err(BundleError::Restore)?;
         Ok(model)
@@ -159,13 +156,15 @@ impl CheckpointBundle {
     }
 
     /// Deserialize from a file written by [`CheckpointBundle::save`],
-    /// rejecting unknown format versions.
+    /// rejecting unknown format versions and architectures that break
+    /// [`SelectiveConfig::validate`].
     ///
     /// # Errors
     ///
     /// Returns the typed [`LoadError`] classifying any truncation,
     /// checksum mismatch, version skew (container or bundle), or
-    /// parse failure — garbage on disk is never misparsed into a
+    /// parse failure ([`LoadError::Malformed`] for an invalid
+    /// architecture) — garbage on disk is never misparsed into a
     /// bundle and never a panic.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, LoadError> {
         let bundle: CheckpointBundle = nn::serialize::load_json_container(path)?;
@@ -175,6 +174,10 @@ impl CheckpointBundle {
                 supported: BUNDLE_FORMAT_VERSION,
             });
         }
+        bundle
+            .model
+            .validate()
+            .map_err(|why| LoadError::Malformed(format!("invalid architecture: {why}")))?;
         Ok(bundle)
     }
 
@@ -228,14 +231,6 @@ pub struct FallbackLoad {
     pub failures: Vec<(PathBuf, LoadError)>,
 }
 
-impl FallbackLoad {
-    /// Whether the primary itself loaded (no fallback was needed).
-    #[must_use]
-    pub fn is_primary(&self) -> bool {
-        self.source_index == 0
-    }
-}
-
 /// [`CheckpointBundle::load_with_fallback`] found no intact candidate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FallbackExhausted {
@@ -259,6 +254,9 @@ impl std::error::Error for FallbackExhausted {}
 /// Error consuming a [`CheckpointBundle`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum BundleError {
+    /// The bundled architecture breaks [`SelectiveConfig::validate`];
+    /// the message names the broken clause.
+    Architecture(String),
     /// The bundle's parameter values or optimizer moments do not fit
     /// the target architecture.
     Restore(RestoreError),
@@ -287,6 +285,7 @@ pub enum BundleError {
 impl fmt::Display for BundleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            BundleError::Architecture(why) => write!(f, "invalid bundled architecture: {why}"),
             BundleError::Restore(e) => write!(f, "bundle does not fit model: {e}"),
             BundleError::Optimizer(e) => write!(f, "invalid bundled optimizer state: {e}"),
             BundleError::NotResumable => {
@@ -325,7 +324,7 @@ mod tests {
     fn export_roundtrips_model_parameters() {
         let mut model = tiny_model(11);
         let bundle = CheckpointBundle::export(&mut model);
-        assert_eq!(bundle.format_version(), BUNDLE_FORMAT_VERSION);
+        assert_eq!(bundle.format_version, BUNDLE_FORMAT_VERSION);
         assert!(bundle.resume().is_none());
         let mut rebuilt = bundle.build_model().expect("architecture matches");
         assert_eq!(rebuilt.state_dict(), model.state_dict());
@@ -375,7 +374,7 @@ mod tests {
         // Intact primary: no fallback consulted.
         let hit = CheckpointBundle::load_with_fallback(&gen2, &[gen1.clone(), gen0.clone()])
             .expect("primary intact");
-        assert!(hit.is_primary());
+        assert_eq!(hit.source_index, 0);
         assert!(hit.failures.is_empty());
         assert_eq!(hit.bundle, bundle);
 
@@ -415,5 +414,14 @@ mod tests {
         // Claim a wider FC layer than the captured parameters have.
         bundle.model.fc = 32;
         assert!(matches!(bundle.build_model(), Err(BundleError::Restore(_))));
+    }
+
+    #[test]
+    fn build_model_rejects_invalid_architecture() {
+        let mut model = tiny_model(15);
+        let mut bundle = CheckpointBundle::export(&mut model);
+        bundle.model.n_classes = 0;
+        assert!(matches!(bundle.build_model(), Err(BundleError::Architecture(why))
+            if why.contains("n_classes")));
     }
 }

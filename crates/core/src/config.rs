@@ -49,7 +49,6 @@ impl SelectiveConfig {
     /// pooling stages shrink the grid by 8×).
     #[must_use]
     pub fn for_grid(grid: usize) -> Self {
-        assert!(grid > 0 && grid.is_multiple_of(8), "grid must be a positive multiple of 8");
         SelectiveConfig {
             grid,
             n_classes: wafermap::DefectClass::COUNT,
@@ -58,6 +57,42 @@ impl SelectiveConfig {
             fc: 256,
             aux_head: false,
         }
+        .checked()
+    }
+
+    /// The architecture rule every buildable configuration follows:
+    /// `grid` is a positive multiple of 8 (three 2×2 pooling stages),
+    /// `n_classes` is in `1..=DefectClass::COUNT` (every class has a
+    /// name to route to), the channel counts and `fc` are non-zero, and
+    /// the kernels are odd (same-padded convolutions).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first broken clause.
+    pub fn validate(&self) -> Result<(), String> {
+        let max_classes = wafermap::DefectClass::COUNT;
+        if self.grid == 0 || !self.grid.is_multiple_of(8) {
+            Err(format!("grid must be a positive multiple of 8, got {}", self.grid))
+        } else if !(1..=max_classes).contains(&self.n_classes) {
+            Err(format!("n_classes must be in 1..={max_classes}, got {}", self.n_classes))
+        } else if self.conv_channels.contains(&0) || self.fc == 0 {
+            Err(format!(
+                "channel counts and fc width must be non-zero, got {:?} and {}",
+                self.conv_channels, self.fc
+            ))
+        } else if self.kernels.iter().any(|k| k % 2 == 0) {
+            Err(format!("kernels must be odd, got {:?}", self.kernels))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// `self`, after asserting [`SelectiveConfig::validate`].
+    pub(crate) fn checked(self) -> Self {
+        if let Err(why) = self.validate() {
+            panic!("invalid SelectiveConfig: {why}");
+        }
+        self
     }
 
     /// Enable the SelectiveNet-style auxiliary head (see the field
@@ -73,12 +108,12 @@ impl SelectiveConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `n_classes` is zero.
+    /// Panics if `n_classes` is zero or more than
+    /// [`wafermap::DefectClass::COUNT`].
     #[must_use]
     pub fn with_classes(mut self, n_classes: usize) -> Self {
-        assert!(n_classes > 0, "need at least one class");
         self.n_classes = n_classes;
-        self
+        self.checked()
     }
 
     /// Override the convolution filter counts.
@@ -88,9 +123,8 @@ impl SelectiveConfig {
     /// Panics if any count is zero.
     #[must_use]
     pub fn with_conv_channels(mut self, channels: [usize; 3]) -> Self {
-        assert!(channels.iter().all(|&c| c > 0), "channel counts must be non-zero");
         self.conv_channels = channels;
-        self
+        self.checked()
     }
 
     /// Override the fully-connected width.
@@ -100,9 +134,8 @@ impl SelectiveConfig {
     /// Panics if `fc` is zero.
     #[must_use]
     pub fn with_fc(mut self, fc: usize) -> Self {
-        assert!(fc > 0, "fc width must be non-zero");
         self.fc = fc;
-        self
+        self.checked()
     }
 
     /// Spatial side length after the three 2×2 pooling stages.
@@ -137,6 +170,31 @@ mod tests {
     #[should_panic(expected = "multiple of 8")]
     fn grid_must_be_poolable() {
         let _ = SelectiveConfig::for_grid(20);
+    }
+
+    #[test]
+    #[should_panic(expected = "n_classes must be in 1..=9")]
+    fn classes_must_have_names() {
+        let _ = SelectiveConfig::for_grid(16).with_classes(10);
+    }
+
+    #[test]
+    fn validate_names_the_broken_clause() {
+        let ok = SelectiveConfig::for_grid(16);
+        assert_eq!(ok.validate(), Ok(()));
+        let broken = [
+            (SelectiveConfig { grid: 0, ..ok }, "grid"),
+            (SelectiveConfig { grid: 12, ..ok }, "grid"),
+            (SelectiveConfig { n_classes: 0, ..ok }, "n_classes"),
+            (SelectiveConfig { n_classes: 10, ..ok }, "n_classes"),
+            (SelectiveConfig { conv_channels: [4, 0, 4], ..ok }, "channel"),
+            (SelectiveConfig { fc: 0, ..ok }, "fc"),
+            (SelectiveConfig { kernels: [5, 4, 3], ..ok }, "kernels"),
+        ];
+        for (config, clause) in broken {
+            let why = config.validate().expect_err("broken config");
+            assert!(why.contains(clause), "{config:?}: {why}");
+        }
     }
 
     #[test]

@@ -38,8 +38,14 @@ pub struct SelectiveModel {
 
 impl SelectiveModel {
     /// Build a freshly initialized model from a config and RNG seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` breaks the architecture rule
+    /// ([`SelectiveConfig::validate`]).
     #[must_use]
     pub fn new(config: &SelectiveConfig, seed: u64) -> Self {
+        let config = config.checked();
         let mut rng = StdRng::seed_from_u64(seed);
         let [c1, c2, c3] = config.conv_channels;
         let [k1, k2, k3] = config.kernels;
@@ -54,7 +60,7 @@ impl SelectiveModel {
         let head_g =
             Sequential::new().with(Linear::new(config.fc, 1, &mut rng)).with(Sigmoid::new());
         let head_aux = config.aux_head.then(|| Linear::new(config.fc, config.n_classes, &mut rng));
-        SelectiveModel { config: *config, trunk, head_f, head_g, head_aux }
+        SelectiveModel { config, trunk, head_f, head_g, head_aux }
     }
 
     /// The architecture configuration.
@@ -70,13 +76,6 @@ impl SelectiveModel {
             + self.head_f.param_count()
             + self.head_g.param_count()
             + self.head_aux.as_mut().map_or(0, Layer::param_count)
-    }
-
-    /// Whether the model carries the SelectiveNet-style auxiliary
-    /// head.
-    #[must_use]
-    pub fn has_aux_head(&self) -> bool {
-        self.head_aux.is_some()
     }
 
     /// Forward pass for a `[N, 1, grid, grid]` batch.
@@ -545,8 +544,6 @@ mod tests {
         let with_aux = base.with_aux_head();
         let mut plain = SelectiveModel::new(&base, 5);
         let mut aux = SelectiveModel::new(&with_aux, 5);
-        assert!(!plain.has_aux_head());
-        assert!(aux.has_aux_head());
         assert_eq!(aux.param_count(), plain.param_count() + 16 * 9 + 9);
         let x = Tensor::full(&[2, 1, 16, 16], 0.5);
         let (_, _, aux_logits) = aux.forward_full(&x);

@@ -19,8 +19,10 @@ pub struct SelectivePrediction {
 ///
 /// SelectiveNet calibrates the inference threshold the same way: sort
 /// the validation scores and cut at the `(1 − coverage)` quantile so a
-/// fraction `coverage` of samples clears it. Returns 0.5 for an empty
-/// slice; clamps `coverage` into `[0, 1]`.
+/// fraction `coverage` of samples clears it. Clamps `coverage` into
+/// `[0, 1]`. A NaN score is never selected (`NaN >= τ` is false), so it
+/// counts towards the set's size but never towards the kept scores;
+/// returns 0.5 when no score is a number.
 ///
 /// # Guarantee
 ///
@@ -55,14 +57,14 @@ pub struct SelectivePrediction {
 /// ```
 #[must_use]
 pub fn calibrate_threshold(scores: &[f32], coverage: f64) -> f32 {
-    if scores.is_empty() {
+    let coverage = coverage.clamp(0.0, 1.0);
+    let keep = ((scores.len() as f64) * coverage).floor() as usize;
+    let mut sorted: Vec<f32> = scores.iter().copied().filter(|s| !s.is_nan()).collect();
+    if sorted.is_empty() {
         return 0.5;
     }
-    let coverage = coverage.clamp(0.0, 1.0);
-    let mut sorted: Vec<f32> = scores.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    sorted.sort_by(f32::total_cmp);
     let n = sorted.len();
-    let keep = ((n as f64) * coverage).floor() as usize;
     if keep == 0 {
         return above(sorted[n - 1]);
     }

@@ -15,8 +15,8 @@
 //!   on-disk region (magic, version, length, checksum, payload head /
 //!   interior / tail) so a test can sweep every structurally distinct
 //!   corruption without trying every byte of a megabyte checkpoint.
-//! - **Clock pressure** — [`SimClock`] is a manually- or
-//!   auto-advancing monotonic clock. The serving engine reads time
+//! - **Clock pressure** — [`SimClock`] is a monotonic clock that
+//!   advances by a fixed step on every read. The serving engine reads time
 //!   through its `Clock` trait, so deadline breaches become a
 //!   deterministic function of the submitted workload instead of a
 //!   flaky wall-clock race.
@@ -308,35 +308,24 @@ impl FaultPlan {
 // Simulated clock
 // ---------------------------------------------------------------------------
 
-/// A monotonic clock whose time only moves when the test says so.
+/// A monotonic clock that advances by a fixed step on every read.
 ///
-/// `now()` reports nanoseconds since the clock's construction. Two
-/// modes compose:
-///
-/// - **Manual**: call [`SimClock::advance`] between operations.
-/// - **Auto-step**: construct with [`SimClock::with_step`] and every
-///   `now()` read advances time by the step *after* reporting — a
-///   cheap model of "each observation costs `step` of wall time",
-///   which is how the chaos harness applies deterministic deadline
-///   pressure to the serving engine.
+/// `now()` reports the time elapsed since the clock's construction and
+/// then advances it by the step — a cheap model of "each observation
+/// costs `step` of wall time", which is how the chaos harness applies
+/// deterministic deadline pressure to the serving engine.
 ///
 /// The counter is atomic, so a `SimClock` can be shared behind an
 /// `Arc` between a test and the engine reading it.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SimClock {
     nanos: AtomicU64,
     step_nanos: u64,
 }
 
 impl SimClock {
-    /// A clock frozen at zero; advances only via [`SimClock::advance`].
-    #[must_use]
-    pub fn new() -> Self {
-        SimClock::default()
-    }
-
-    /// A clock that advances by `step` after every [`SimClock::now`]
-    /// read.
+    /// A clock at zero that advances by `step` after every
+    /// [`SimClock::now`] read.
     #[must_use]
     pub fn with_step(step: Duration) -> Self {
         SimClock {
@@ -345,20 +334,11 @@ impl SimClock {
         }
     }
 
-    /// Advance the clock by `by`.
-    pub fn advance(&self, by: Duration) {
-        self.nanos.fetch_add(u64::try_from(by.as_nanos()).unwrap_or(u64::MAX), Ordering::Relaxed);
-    }
-
-    /// Time elapsed since construction. In auto-step mode the clock
-    /// then advances by its step.
+    /// Time elapsed since construction; the clock then advances by its
+    /// step.
     #[must_use]
     pub fn now(&self) -> Duration {
-        if self.step_nanos == 0 {
-            Duration::from_nanos(self.nanos.load(Ordering::Relaxed))
-        } else {
-            Duration::from_nanos(self.nanos.fetch_add(self.step_nanos, Ordering::Relaxed))
-        }
+        Duration::from_nanos(self.nanos.fetch_add(self.step_nanos, Ordering::Relaxed))
     }
 }
 
@@ -435,17 +415,11 @@ mod tests {
     }
 
     #[test]
-    fn sim_clock_manual_and_auto_step() {
-        let manual = SimClock::new();
-        assert_eq!(manual.now(), Duration::ZERO);
-        manual.advance(Duration::from_millis(5));
-        assert_eq!(manual.now(), Duration::from_millis(5));
-
-        let auto = SimClock::with_step(Duration::from_millis(2));
-        assert_eq!(auto.now(), Duration::ZERO);
-        assert_eq!(auto.now(), Duration::from_millis(2));
-        auto.advance(Duration::from_millis(10));
-        assert_eq!(auto.now(), Duration::from_millis(14));
+    fn sim_clock_steps_after_each_read() {
+        let clock = SimClock::with_step(Duration::from_millis(2));
+        assert_eq!(clock.now(), Duration::ZERO);
+        assert_eq!(clock.now(), Duration::from_millis(2));
+        assert_eq!(clock.now(), Duration::from_millis(4));
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! linear layers and their backward passes) funnels into the three
 //! kernels here, and every shape takes one cache-blocked path; only
 //! `A·Bᵀ` products with one or two rows keep a dot-product sweep
-//! ([`sgemm_nt`]). Each row block packs `A` into `MR`-row groups and
-//! each `KC`-deep strip of `B` into one `NR`-wide panel, in fixed-size
-//! per-thread buffers, and an `MR`×`NR` = 8×32 register tile
-//! ([`crate::simd`], one arm per instruction set) keeps the output tile
-//! in registers across the strip. Row blocks fan out across the
-//! persistent worker pool ([`crate::pool`]) once the FLOP count
-//! justifies the dispatch.
+//! ([`sgemm_nt`]) on the vector arms. Each row block packs `A` into
+//! `MR`-row groups and each `KC`-deep strip of `B` into one `NR`-wide
+//! panel, in fixed-size per-thread buffers, and an `MR`×`NR` = 8×32
+//! register tile ([`crate::simd`], one arm per instruction set) keeps
+//! the output tile in registers across the strip. Row blocks fan out
+//! across the persistent worker pool ([`crate::pool`]) once the FLOP
+//! count justifies the dispatch.
 //!
 //! The public kernels **accumulate** (`C += ...`). Inside the crate each
 //! also has an **overwrite** form (`C = ...`, `Store::Overwrite`): on
@@ -147,60 +147,16 @@ pub(crate) fn sgemm_nt_with(
     assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
     assert!(b.len() >= n * k, "B too short: {} < {}", b.len(), n * k);
     assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
-    if m <= 2 {
+    let arm = simd::arm();
+    if m <= 2 && arm != Arm::Scalar {
         // At most two rows: zeroing them is cheaper than a second
         // pair of narrow kernels.
         if store == Store::Overwrite {
             c[..m * n].fill(0.0);
         }
-        if !simd::arm().nt_narrow(m, k, n, a, b, c) {
-            nt_narrow(m, k, n, a, b, c);
-        }
+        arm.nt_narrow(m, k, n, a, b, c);
     } else {
         blocked(m, k, n, a, b, c, ALayout::RowMajor, BLayout::Transposed, store);
-    }
-}
-
-/// Columns of `C` computed together per [`nt_narrow`] strip (that many
-/// independent accumulation chains hide the `mul_add` latency).
-pub(crate) const NTW: usize = 8;
-
-/// Narrow-batch kernel for the `A[m,k] · B[n,k]ᵀ` form with `m <= 2`:
-/// inference-sized matrix-vector products where packing `B` (the
-/// weight matrix, re-read every call) would dominate the work. Rows of
-/// `B` are already contiguous along the contraction axis, so each
-/// output is a plain dot product; `NTW` outputs run as parallel
-/// accumulation chains. Per element the contraction still runs in
-/// strictly increasing `p` order with `mul_add` onto the resident `C`
-/// value — bit-identical to the reference kernel.
-fn nt_narrow(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    for i in 0..m {
-        let x = &a[i * k..(i + 1) * k];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        let mut j0 = 0;
-        while j0 < n {
-            let jw = NTW.min(n - j0);
-            let mut acc = [0.0f32; NTW];
-            acc[..jw].copy_from_slice(&c_row[j0..j0 + jw]);
-            if jw == NTW {
-                let rows: [&[f32]; NTW] =
-                    std::array::from_fn(|jj| &b[(j0 + jj) * k..(j0 + jj + 1) * k]);
-                for (p, &xv) in x.iter().enumerate() {
-                    for (jj, row) in rows.iter().enumerate() {
-                        acc[jj] = xv.mul_add(row[p], acc[jj]);
-                    }
-                }
-            } else {
-                for (jj, slot) in acc.iter_mut().enumerate().take(jw) {
-                    let row = &b[(j0 + jj) * k..(j0 + jj + 1) * k];
-                    for (p, &xv) in x.iter().enumerate() {
-                        *slot = xv.mul_add(row[p], *slot);
-                    }
-                }
-            }
-            c_row[j0..j0 + jw].copy_from_slice(&acc[..jw]);
-            j0 += jw;
-        }
     }
 }
 
@@ -316,7 +272,8 @@ fn pack_b(
 ) {
     let w = NR.min(n - j0);
     // Rows `< rows` and columns `< cols` of a transposed strip are
-    // packed by the arm's 8×8 block transposes.
+    // packed by the vector arms' 8×8 block transposes (none on the
+    // scalar arm).
     let (rows, cols) = match layout {
         BLayout::RowMajor => (0, 0),
         BLayout::Transposed => arm.pack_strip_transposed(bp, &b[j0 * k..(j0 + w) * k], k, p0, kc),

@@ -89,11 +89,14 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// written, so nothing is retained for `backward`. The output
     /// tensor is still allocated per call.
     ///
-    /// This is the serving path. It runs single-threaded per call;
-    /// callers parallelize **across samples** (see
-    /// `pool::parallel_map`), which keeps each sample's working set
-    /// cache-resident and makes results independent of the worker-pool
-    /// size.
+    /// This is the serving path. Callers parallelize **across
+    /// samples** (see `pool::parallel_map`), which keeps each sample's
+    /// working set cache-resident; inside a pool chunk every layer runs
+    /// serially on the calling thread. Called outside one, a layer may
+    /// fan its own work out over the pool: a conv `infer` of more than
+    /// [`pool::SAMPLE_BLOCK`] samples runs its sample groups in
+    /// parallel, and a large GEMM its row blocks. Either way the
+    /// results do not depend on the worker-pool size.
     ///
     /// # Panics
     ///

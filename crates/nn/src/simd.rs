@@ -167,7 +167,8 @@ impl Arm {
     /// `strip[p·NR + jr] = cols[jr·k + p0 + p]` for every `p < rows =
     /// kc - kc % 8` and `jr < done = w - w % 8`, moving 8×8 blocks
     /// through a transpose instead of an element scatter. Returns
-    /// `(rows, done)`; the caller packs the rest.
+    /// `(rows, done)`; the caller packs the rest. The scalar arm packs
+    /// nothing and returns `(0, 0)`.
     #[inline]
     pub(crate) fn pack_strip_transposed(
         self,
@@ -186,27 +187,18 @@ impl Arm {
             #[cfg(target_arch = "x86_64")]
             Arm::Avx512 | Arm::Avx2 => unsafe {
                 avx2::pack_strip_transposed(strip, cols, k, p0, rows, done);
+                (rows, done)
             },
-            _ => {
-                for pb in (0..rows).step_by(8) {
-                    for q in (0..done).step_by(8) {
-                        let block: [&[f32; 8]; 8] = std::array::from_fn(|r| {
-                            cols[(q + r) * k + p0 + pb..][..8].try_into().expect("8 floats")
-                        });
-                        for (pp, dst) in strip[pb * NR..].chunks_exact_mut(NR).take(8).enumerate() {
-                            for (slot, src) in dst[q..q + 8].iter_mut().zip(block) {
-                                *slot = src[pp];
-                            }
-                        }
-                    }
-                }
-            }
+            _ => (0, 0),
         }
-        (rows, done)
     }
 
-    /// Vector narrow `A·Bᵀ` kernel (`m <= 2`): returns `true` if it
-    /// ran, `false` if the caller must run the scalar one.
+    /// Narrow `A·Bᵀ` kernel for `m <= 2` on the vector arms; the
+    /// scalar arm runs those shapes through the blocked path.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the scalar arm.
     #[inline]
     pub(crate) fn nt_narrow(
         self,
@@ -216,21 +208,22 @@ impl Arm {
         a: &[f32],
         b: &[f32],
         c: &mut [f32],
-    ) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        if self != Arm::Scalar {
+    ) {
+        match self {
             // SAFETY: both vector arms imply AVX2 + FMA (see `detect`).
-            unsafe {
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx512 | Arm::Avx2 => unsafe {
                 if m == 2 {
                     avx2::nt_narrow::<2>(k, n, a, b, c);
                 } else {
                     avx2::nt_narrow::<1>(k, n, a, b, c);
                 }
+            },
+            _ => {
+                let _ = (m, k, n, a, b, c);
+                unreachable!("the scalar arm has no narrow kernel");
             }
-            return true;
         }
-        let _ = (m, k, n, a, b, c);
-        false
     }
 }
 
@@ -246,14 +239,6 @@ fn scalar_tile(
     nr: usize,
     zero: bool,
 ) {
-    if mr == MR && nr == NR {
-        // Full tile: constant sub-tile offsets and sizes let every
-        // bound and edge branch fold away.
-        for (r0, j0) in [(0, 0), (0, SC), (SR, 0), (SR, SC)] {
-            scalar_sub(kc, ap, bp, r0, j0, &mut c[r0 * ldc + j0..], ldc, [SR, SC], zero);
-        }
-        return;
-    }
     for r0 in (0..mr).step_by(SR) {
         for j0 in (0..nr).step_by(SC) {
             let (sr, sc) = ((mr - r0).min(SR), (nr - j0).min(SC));
@@ -404,7 +389,11 @@ mod avx2 {
     };
 
     use super::{SC, SR};
-    use crate::gemm::{MR, NR, NTW};
+    use crate::gemm::{MR, NR};
+
+    /// Columns of `C` computed together per [`nt_narrow`] strip (that
+    /// many independent accumulation chains hide the FMA latency).
+    const NTW: usize = 8;
 
     /// AVX2 arm of [`super::Arm::tile`]: the tile as `SR`×`SC` = 4×16
     /// sub-tiles. Full sub-tiles accumulate straight from/to `C`; edge
@@ -493,7 +482,7 @@ mod avx2 {
     }
 
     /// AVX2 narrow `A·Bᵀ` kernel (`ROWS = m` is 1 or 2), bit-identical
-    /// to the scalar `nt_narrow`: `NTW = 8` outputs per row run as one
+    /// to the blocked path: `NTW = 8` outputs per row run as one
     /// vector of independent accumulation chains. `B`'s rows are
     /// contiguous along `p`, so 8×8 blocks are transposed in registers
     /// to put each `p` across the 8 output lanes; the `k % 8`

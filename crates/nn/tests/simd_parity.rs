@@ -121,9 +121,16 @@ fn paper_shapes_are_bit_identical() {
     ] {
         check_all_kernels(m, k, n, 101);
     }
-    // The serving-sized fc products that route to the narrow kernel.
+    // The serving-sized fc products that route to the narrow kernel on
+    // the vector arms and through the blocked path on the scalar arm.
     check_both_paths(gemm::sgemm_nt, gemm::reference::sgemm_nt, 1, 512, 256, 103);
     check_both_paths(gemm::sgemm_nt, gemm::reference::sgemm_nt, 2, 512, 256, 104);
+    // The m <= 2 products the pipeline runs: the auto-encoder decoder's
+    // last conv weight gradient (grid 32, 8 channels, 5×5), and the
+    // prediction and selection heads of ragged inference blocks.
+    check_both_paths(gemm::sgemm_nt, gemm::reference::sgemm_nt, 1, 1024, 200, 105);
+    check_both_paths(gemm::sgemm_nt, gemm::reference::sgemm_nt, 1, 256, 9, 106);
+    check_both_paths(gemm::sgemm_nt, gemm::reference::sgemm_nt, 2, 256, 1, 107);
 }
 
 /// Edge tails of every vector loop: `k` 0 and 1, widths that are not

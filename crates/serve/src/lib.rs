@@ -376,12 +376,6 @@ impl fmt::Display for InputFault {
 pub enum ServeError {
     /// The checkpoint bundle could not be turned into a model.
     Bundle(BundleError),
-    /// The bundled model predicts more classes than [`DefectClass`]
-    /// can name, so decisions could not be routed.
-    UnsupportedClasses {
-        /// Classes in the bundled model.
-        n_classes: usize,
-    },
     /// A submitted wafer's grid does not match the model input.
     GridMismatch {
         /// Model input side length.
@@ -401,13 +395,6 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Bundle(e) => write!(f, "cannot load bundle: {e}"),
-            ServeError::UnsupportedClasses { n_classes } => {
-                write!(
-                    f,
-                    "bundled model has {n_classes} classes; serving routes require at most {}",
-                    DefectClass::COUNT
-                )
-            }
             ServeError::GridMismatch { expected, found } => write!(
                 f,
                 "wafer is {}x{} but the model expects {expected}x{expected}",
@@ -472,7 +459,9 @@ pub struct ShedCount {
 ///
 /// Counts, coverage and throughput are exact over the whole stream;
 /// the distributions are exact in `count` and `sum` and summarize the
-/// most recent [`ServeConfig::stats_window`] samples otherwise.
+/// most recent [`ServeConfig::stats_window`] samples otherwise (each
+/// [`WindowSummary`] carries its retained `window_len` and its bound
+/// `window_capacity`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServingSnapshot {
     /// Micro-batches processed (`serve_batches_total`).
@@ -511,10 +500,6 @@ pub struct ServingSnapshot {
     /// (`serve_wafer_compute_seconds`): time on a worker, excluding
     /// pool-scheduling wait and the wait for the rest of the batch.
     pub compute_latency: WindowSummary,
-    /// Batch-latency samples currently retained.
-    pub latency_window_len: usize,
-    /// Maximum retained latency samples (the memory bound).
-    pub latency_window_capacity: usize,
     /// Committed predictions per class index
     /// (`serve_decisions_total{class,route="predicted"}`).
     pub predicted_per_class: Vec<u64>,
@@ -629,8 +614,6 @@ impl EngineMetrics {
             latency: self.wafer_latency_seconds.summary(),
             batch_latency,
             compute_latency: self.wafer_compute_seconds.summary(),
-            latency_window_len: batch_latency.window_len,
-            latency_window_capacity: batch_latency.window_capacity,
             predicted_per_class: self.decisions.iter().map(|[p, _]| p.get()).collect(),
             abstained_per_class: self.decisions.iter().map(|[_, a]| a.get()).collect(),
         }
@@ -670,9 +653,10 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Bundle`] for corrupted bundles,
-    /// [`ServeError::UnsupportedClasses`] when the model's classes
-    /// cannot be routed to [`DefectClass`] labels, and
+    /// Returns [`ServeError::Bundle`] for corrupted bundles (an
+    /// architecture that breaks [`selective::SelectiveConfig::validate`],
+    /// whose rule caps the classes at the [`DefectClass`] labels a
+    /// decision routes to, or parameters that do not fit it), and
     /// [`ServeError::InvalidConfig`] for unusable configurations.
     pub fn from_bundle(bundle: &CheckpointBundle, config: ServeConfig) -> Result<Self, ServeError> {
         if config.micro_batch == 0 {
@@ -702,11 +686,8 @@ impl Engine {
                 "max_queue_depth of zero would shed every wafer".into(),
             ));
         }
-        let n_classes = bundle.model_config().n_classes;
-        if n_classes > DefectClass::COUNT {
-            return Err(ServeError::UnsupportedClasses { n_classes });
-        }
         let model = bundle.build_model().map_err(ServeError::Bundle)?;
+        let n_classes = model.config().n_classes;
         let registry = Registry::new();
         let metrics = EngineMetrics::new(&registry, config.stats_window, n_classes);
         metrics.threshold.set(f64::from(config.threshold));

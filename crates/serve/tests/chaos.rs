@@ -92,7 +92,6 @@ fn corrupted_generations_recover_and_serve_identically() {
     let recovered = CheckpointBundle::load_with_fallback(newest_first[0], &newest_first[1..])
         .expect("one intact generation remains");
     assert_eq!(recovered.source_index, 2, "must step back to the oldest generation");
-    assert!(!recovered.is_primary());
     assert_eq!(recovered.failures.len(), 2, "both corrupt generations are reported");
     assert!(
         matches!(recovered.failures[0].1, LoadError::Truncated { .. }),
@@ -186,4 +185,47 @@ fn transient_load_failures_retry_with_bounded_backoff() {
     assert!(sleeps.is_empty());
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Re-container a valid bundle's payload with its first `from` field
+/// text replaced by `to`: the checksum is valid, the architecture is
+/// not. Returns the load error.
+fn load_crafted(tag: &str, from: &str, to: &str) -> LoadError {
+    let dir = temp_dir(tag);
+    let path = dir.join("crafted.json");
+    let config = SelectiveConfig::for_grid(GRID).with_conv_channels([2, 2, 2]).with_fc(8);
+    CheckpointBundle::export(&mut SelectiveModel::new(&config, 3)).save(&path).expect("save");
+    let payload = nn::serialize::read_container(&path).expect("intact container");
+    let text = String::from_utf8(payload).expect("JSON payload");
+    let crafted = text.replacen(from, to, 1);
+    assert_ne!(crafted, text, "payload has no {from}");
+    nn::serialize::write_container(&path, crafted.as_bytes()).expect("re-container");
+    let err = CheckpointBundle::load(&path).expect_err("invalid architecture must not load");
+    let _ = std::fs::remove_dir_all(&dir);
+    err
+}
+
+fn assert_invalid_architecture(err: &LoadError, field: &str) {
+    assert!(
+        matches!(err, LoadError::Malformed(why) if why.contains(field)),
+        "expected a malformed-architecture error naming {field}, got {err:?}"
+    );
+}
+
+#[test]
+fn crafted_zero_grid_is_a_typed_load_error() {
+    let err = load_crafted("zero_grid", &format!("\"grid\":{GRID},"), "\"grid\":0,");
+    assert_invalid_architecture(&err, "grid");
+}
+
+#[test]
+fn crafted_zero_classes_is_a_typed_load_error() {
+    let err = load_crafted("zero_classes", "\"n_classes\":9,", "\"n_classes\":0,");
+    assert_invalid_architecture(&err, "n_classes");
+}
+
+#[test]
+fn crafted_zero_fc_is_a_typed_load_error() {
+    let err = load_crafted("zero_fc", "\"fc\":8,", "\"fc\":0,");
+    assert_invalid_architecture(&err, "fc");
 }

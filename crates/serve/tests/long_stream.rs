@@ -57,11 +57,12 @@ fn engine_state_stays_bounded_over_long_streams() {
     );
 
     // Retained distribution state never exceeds the configured window.
-    assert_eq!(report.serving.latency_window_capacity, WINDOW);
+    let batch_latency = &report.serving.batch_latency;
+    assert_eq!(batch_latency.window_capacity, WINDOW);
     assert!(
-        report.serving.latency_window_len <= WINDOW,
+        batch_latency.window_len <= WINDOW,
         "latency window grew past its bound: {} > {WINDOW}",
-        report.serving.latency_window_len
+        batch_latency.window_len
     );
 
     // The telemetry histograms ride the same bound while keeping

@@ -285,12 +285,6 @@ impl Registry {
         snap
     }
 
-    /// The snapshot as pretty-printed JSON.
-    #[must_use]
-    pub fn json(&self) -> String {
-        serde_json::to_string_pretty(&self.snapshot()).expect("snapshot serializes")
-    }
-
     /// The snapshot in the Prometheus text exposition format.
     #[must_use]
     pub fn prometheus(&self) -> String {
@@ -490,7 +484,7 @@ mod tests {
         h.observe(0.5);
         h.observe(1.5);
         let snap = r.snapshot();
-        let json = r.json();
+        let json = serde_json::to_string_pretty(&snap).expect("snapshot serializes");
         let back: Snapshot = serde_json::from_str(&json).expect("valid JSON");
         assert_eq!(back, snap);
         assert!(!snap.is_empty());

@@ -17,7 +17,6 @@ use serde::{Deserialize, Serialize};
 /// use wafermap::Die;
 ///
 /// assert_eq!(Die::Fail.pixel_level(), 255);
-/// assert_eq!(Die::from_pixel_level(127), Die::Pass);
 /// assert!(Die::Fail.is_on_wafer());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -50,20 +49,6 @@ impl Die {
             Die::OffWafer => 0.0,
             Die::Pass => 0.5,
             Die::Fail => 1.0,
-        }
-    }
-
-    /// Inverse of [`Die::pixel_level`], snapping an arbitrary pixel to
-    /// the nearest of the three canonical levels.
-    #[must_use]
-    pub fn from_pixel_level(level: u8) -> Self {
-        // Midpoints between 0,127 and 127,255.
-        if level < 64 {
-            Die::OffWafer
-        } else if level < 191 {
-            Die::Pass
-        } else {
-            Die::Fail
         }
     }
 
@@ -113,25 +98,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pixel_levels_roundtrip() {
-        for die in [Die::OffWafer, Die::Pass, Die::Fail] {
-            assert_eq!(Die::from_pixel_level(die.pixel_level()), die);
-        }
-    }
-
-    #[test]
     fn intensity_roundtrip() {
         for die in [Die::OffWafer, Die::Pass, Die::Fail] {
             assert_eq!(Die::from_intensity(die.intensity()), die);
         }
-    }
-
-    #[test]
-    fn from_pixel_level_snaps_to_nearest() {
-        assert_eq!(Die::from_pixel_level(10), Die::OffWafer);
-        assert_eq!(Die::from_pixel_level(100), Die::Pass);
-        assert_eq!(Die::from_pixel_level(150), Die::Pass);
-        assert_eq!(Die::from_pixel_level(230), Die::Fail);
     }
 
     #[test]

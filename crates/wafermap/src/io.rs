@@ -93,100 +93,6 @@ pub fn to_ascii(map: &WaferMap) -> String {
     out
 }
 
-/// Write a dataset as CSV for interchange with Python tooling (or to
-/// import the *real* WM-811K after converting it with a few lines of
-/// pandas). One row per wafer:
-///
-/// ```text
-/// label,width,height,dies
-/// Edge-Ring,3,3,012112210
-/// ```
-///
-/// where `dies` is the row-major grid with `0` = off-wafer, `1` =
-/// pass, `2` = fail (WM-811K's own integer encoding).
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_csv<W: Write>(dataset: &crate::Dataset, mut writer: W) -> io::Result<()> {
-    writeln!(writer, "label,width,height,dies")?;
-    for sample in dataset {
-        let mut dies = String::with_capacity(sample.map.len());
-        for die in sample.map.dies() {
-            dies.push(match die {
-                Die::OffWafer => '0',
-                Die::Pass => '1',
-                Die::Fail => '2',
-            });
-        }
-        writeln!(
-            writer,
-            "{},{},{},{dies}",
-            sample.label.name(),
-            sample.map.width(),
-            sample.map.height()
-        )?;
-    }
-    Ok(())
-}
-
-/// Read a dataset written by [`write_csv`] (or converted from the real
-/// WM-811K). All wafers must share one square grid size; the paper's
-/// pipeline rescales maps to a common size before training.
-///
-/// # Errors
-///
-/// Returns an [`io::Error`] (kind `InvalidData`) on malformed rows,
-/// unknown labels, inconsistent grids, or non-square maps.
-pub fn read_csv<R: io::BufRead>(reader: R) -> io::Result<crate::Dataset> {
-    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let mut dataset: Option<crate::Dataset> = None;
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        if lineno == 0 || line.trim().is_empty() {
-            continue; // header / blank
-        }
-        let mut parts = line.splitn(4, ',');
-        let label: crate::DefectClass = parts
-            .next()
-            .ok_or_else(|| bad(format!("line {lineno}: missing label")))?
-            .parse()
-            .map_err(|e| bad(format!("line {lineno}: {e}")))?;
-        let width: usize = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| bad(format!("line {lineno}: bad width")))?;
-        let height: usize = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| bad(format!("line {lineno}: bad height")))?;
-        let dies_str = parts.next().ok_or_else(|| bad(format!("line {lineno}: missing dies")))?;
-        if width != height {
-            return Err(bad(format!("line {lineno}: non-square {width}x{height} map")));
-        }
-        let mut dies = Vec::with_capacity(width * height);
-        for ch in dies_str.trim().chars() {
-            dies.push(match ch {
-                '0' => Die::OffWafer,
-                '1' => Die::Pass,
-                '2' => Die::Fail,
-                other => return Err(bad(format!("line {lineno}: bad die char {other:?}"))),
-            });
-        }
-        let map = WaferMap::from_dies(width, height, dies)
-            .map_err(|e| bad(format!("line {lineno}: {e}")))?;
-        let ds = dataset.get_or_insert_with(|| crate::Dataset::new(width));
-        if ds.grid() != width {
-            return Err(bad(format!(
-                "line {lineno}: grid {width} differs from first wafer's {}",
-                ds.grid()
-            )));
-        }
-        ds.push(crate::Sample::original(map, label));
-    }
-    dataset.ok_or_else(|| bad("csv contained no wafers".to_owned()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,44 +133,5 @@ mod tests {
         let map = WaferMap::blank(12, 12);
         let art = to_ascii(&map);
         assert_eq!(art.as_bytes()[0], b' ');
-    }
-
-    #[test]
-    fn csv_roundtrip_preserves_dataset() {
-        let (train, _) = crate::gen::SyntheticWm811k::new(8).scale(0.0005).seed(3).build();
-        let mut buf = Vec::new();
-        write_csv(&train, &mut buf).expect("write csv");
-        let back = read_csv(io::BufReader::new(buf.as_slice())).expect("read csv");
-        assert_eq!(back.len(), train.len());
-        for (a, b) in back.iter().zip(train.iter()) {
-            assert_eq!(a.map, b.map);
-            assert_eq!(a.label, b.label);
-        }
-    }
-
-    #[test]
-    fn csv_rejects_malformed_rows() {
-        let no_wafers = "label,width,height,dies\n";
-        assert!(read_csv(io::BufReader::new(no_wafers.as_bytes())).is_err());
-        let bad_label = "label,width,height,dies\nNotAClass,2,2,1111\n";
-        assert!(read_csv(io::BufReader::new(bad_label.as_bytes())).is_err());
-        let bad_die = "label,width,height,dies\nDonut,2,2,1119\n";
-        assert!(read_csv(io::BufReader::new(bad_die.as_bytes())).is_err());
-        let wrong_len = "label,width,height,dies\nDonut,2,2,111\n";
-        assert!(read_csv(io::BufReader::new(wrong_len.as_bytes())).is_err());
-        let non_square = "label,width,height,dies\nDonut,2,3,111111\n";
-        assert!(read_csv(io::BufReader::new(non_square.as_bytes())).is_err());
-    }
-
-    #[test]
-    fn csv_parses_wm811k_integer_encoding() {
-        let csv = "label,width,height,dies\nEdge-Ring,3,3,012112210\n";
-        let ds = read_csv(io::BufReader::new(csv.as_bytes())).expect("parse");
-        assert_eq!(ds.len(), 1);
-        let map = &ds.samples()[0].map;
-        assert_eq!(map.get(0, 0), Die::OffWafer);
-        assert_eq!(map.get(1, 0), Die::Pass);
-        assert_eq!(map.get(2, 0), Die::Fail);
-        assert_eq!(map.fail_count(), 3);
     }
 }

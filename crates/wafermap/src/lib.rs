@@ -11,9 +11,8 @@
 //! - [`gen`]: parametric spatial generators for every class and a
 //!   [`gen::SyntheticWm811k`] dataset builder that mirrors the class
 //!   mixture of the paper's Table II.
-//! - [`ops`]: rotation, salt-and-pepper noise, and three-level
-//!   quantization — the image operations used by the paper's
-//!   Algorithm 1 (data augmentation).
+//! - [`ops`]: rotation and salt-and-pepper noise — the image
+//!   operations used by the paper's Algorithm 1 (data augmentation).
 //! - [`io`]: PGM export and ASCII rendering for visual inspection.
 //!
 //! # Example

@@ -1,6 +1,5 @@
-//! Image operations on wafer maps: rotation, salt-and-pepper noise and
-//! quantization helpers used by the paper's data-augmentation
-//! Algorithm 1.
+//! Image operations on wafer maps: the rotation and salt-and-pepper
+//! noise of the paper's data-augmentation Algorithm 1.
 
 use rand::Rng;
 
@@ -14,8 +13,8 @@ use crate::{Die, WaferMap};
 /// Algorithm 1 rotates each synthetic image by `i * 360 / n_r`; because
 /// the wafer is circular, rotation keeps the map physically plausible.
 /// The mask is taken from the *input* (not an idealized circle), so
-/// maps with irregular masks — e.g. real wafers loaded via `io` with
-/// notches or flats — keep their exact footprint. Destination dies
+/// maps with irregular masks — e.g. real wafers with notches or
+/// flats — keep their exact footprint. Destination dies
 /// whose source falls off-grid or off-wafer become [`Die::Pass`]
 /// (background), mirroring how WM-811K renders rotated wafers.
 ///
@@ -106,72 +105,6 @@ pub fn salt_and_pepper<R: Rng + ?Sized>(map: &WaferMap, rate: f32, rng: &mut R) 
         let (x, y) = coords[i];
         let die = out.get(x, y);
         out.set(x, y, die.flipped());
-    }
-    out
-}
-
-/// Quantize a continuous image (e.g. an auto-encoder reconstruction)
-/// back to a valid three-level wafer map, using `reference` for the
-/// circular mask (Algorithm 1, line 7).
-///
-/// This is a convenience re-export of [`WaferMap::from_image_masked`]
-/// under the name the paper uses.
-///
-/// # Errors
-///
-/// Returns an error if `image.len()` does not match the reference grid.
-pub fn quantize(image: &[f32], reference: &WaferMap) -> Result<WaferMap, crate::map::ShapeError> {
-    WaferMap::from_image_masked(image, reference)
-}
-
-/// Mirror a wafer map horizontally (about the vertical axis through
-/// the wafer centre), re-imposing the wafer mask of the input exactly
-/// as [`rotate`] does: off-wafer dies stay off-wafer, and an on-wafer
-/// die whose mirrored source is off-wafer becomes [`Die::Pass`].
-///
-/// A circular mask maps onto itself under a mirror, but real wafers
-/// loaded via `io` can carry notches or flats that do not — copying
-/// the mirrored die verbatim would relocate `OffWafer` markers and
-/// corrupt the physical footprint.
-///
-/// # Example
-///
-/// ```
-/// use wafermap::{ops::flip_horizontal, Die, WaferMap};
-///
-/// let mut map = WaferMap::blank(9, 9);
-/// map.set(1, 4, Die::Fail);
-/// let flipped = flip_horizontal(&map);
-/// assert_eq!(flipped.get(7, 4), Die::Fail);
-/// ```
-#[must_use]
-pub fn flip_horizontal(map: &WaferMap) -> WaferMap {
-    let w = map.width();
-    let mut out = map.clone();
-    for (x, y, _) in map.iter_on_wafer() {
-        let die = match map.get(w - 1 - x, y) {
-            Die::OffWafer => Die::Pass,
-            d => d,
-        };
-        out.set(x, y, die);
-    }
-    out
-}
-
-/// Mirror a wafer map vertically (about the horizontal axis through
-/// the wafer centre), re-imposing the input's wafer mask — see
-/// [`flip_horizontal`] for why the mask must come from the input
-/// rather than the mirrored source.
-#[must_use]
-pub fn flip_vertical(map: &WaferMap) -> WaferMap {
-    let h = map.height();
-    let mut out = map.clone();
-    for (x, y, _) in map.iter_on_wafer() {
-        let die = match map.get(x, h - 1 - y) {
-            Die::OffWafer => Die::Pass,
-            d => d,
-        };
-        out.set(x, y, die);
     }
     out
 }
@@ -341,80 +274,5 @@ mod tests {
     fn disagreement_is_zero_for_identical_maps() {
         let map = WaferMap::blank(10, 10);
         assert_eq!(die_disagreement(&map, &map), 0.0);
-    }
-
-    #[test]
-    fn flips_are_involutions() {
-        let mut map = WaferMap::blank(11, 11);
-        map.set(2, 3, Die::Fail);
-        map.set(7, 8, Die::Fail);
-        assert_eq!(flip_horizontal(&flip_horizontal(&map)), map);
-        assert_eq!(flip_vertical(&flip_vertical(&map)), map);
-    }
-
-    #[test]
-    fn flips_preserve_mask_and_fail_count() {
-        let mut map = WaferMap::blank(14, 14);
-        map.fail_if_on_wafer(4, 5);
-        map.fail_if_on_wafer(9, 2);
-        for f in [flip_horizontal(&map), flip_vertical(&map)] {
-            assert_eq!(f.on_wafer_count(), map.on_wafer_count());
-            assert_eq!(f.fail_count(), map.fail_count());
-        }
-    }
-
-    #[test]
-    fn flips_preserve_irregular_non_circular_mask() {
-        // Mirror of `rotate_preserves_irregular_non_circular_mask`: a
-        // square wafer with a 3x3 corner notch. A naive cell-by-cell
-        // mirror would relocate the notch's OffWafer dies to the
-        // opposite corner; the fixed flips keep the footprint exact.
-        let w = 9;
-        let mut dies = vec![Die::Pass; w * w];
-        for y in 0..3 {
-            for x in 0..3 {
-                dies[y * w + x] = Die::OffWafer;
-            }
-        }
-        let mut map = WaferMap::from_dies(w, w, dies).expect("valid grid");
-        map.set(6, 1, Die::Fail); // mirrors across the notch row
-        map.set(1, 6, Die::Fail); // mirrors into intact territory
-        for (name, flipped) in
-            [("horizontal", flip_horizontal(&map)), ("vertical", flip_vertical(&map))]
-        {
-            assert_eq!(
-                flipped.on_wafer_count(),
-                map.on_wafer_count(),
-                "{name} flip changed the on-wafer count"
-            );
-            for y in 0..w {
-                for x in 0..w {
-                    assert_eq!(
-                        flipped.get(x, y).is_on_wafer(),
-                        map.get(x, y).is_on_wafer(),
-                        "{name} flip changed the mask at ({x}, {y})"
-                    );
-                }
-            }
-        }
-        // Defects still mirror where the destination is on-wafer:
-        // (6, 1) -> (2, 1) lands inside the notch's row but outside
-        // the notch columns? (2, 1) is inside the notch — masked out.
-        // (1, 6) -> (7, 6) is on-wafer and must carry the defect.
-        let hflip = flip_horizontal(&map);
-        assert_eq!(hflip.get(2, 1), Die::OffWafer, "notch die stays off-wafer");
-        assert_eq!(hflip.get(7, 6), Die::Fail);
-        // A die whose mirrored source is off-wafer becomes Pass, not
-        // OffWafer: (6, 1)'s horizontal source is (2, 1) in the notch.
-        assert_eq!(hflip.get(6, 1), Die::Pass);
-    }
-
-    #[test]
-    fn double_flip_equals_half_turn() {
-        let mut map = WaferMap::blank(13, 13);
-        map.set(3, 6, Die::Fail);
-        let hv = flip_vertical(&flip_horizontal(&map));
-        let rot = rotate(&map, 180.0);
-        assert_eq!(die_disagreement(&hv, &rot), 0.0);
     }
 }

@@ -96,6 +96,26 @@ proptest! {
         }
     }
 
+    /// NaN selection scores (a diverged model) neither panic the
+    /// calibration sort nor count as selected: coverage stays
+    /// exact-or-under over the whole set, NaNs included.
+    #[test]
+    fn calibration_never_selects_nan_scores(
+        draws in proptest::collection::vec((0.0f32..1.0, 0usize..4), 1..200),
+        nan_at in any::<usize>(),
+        coverage in 0.0f64..1.0,
+    ) {
+        // About a quarter of the scores, and at least one, are NaN.
+        let mut scores: Vec<f32> =
+            draws.iter().map(|&(s, roll)| if roll == 0 { f32::NAN } else { s }).collect();
+        let len = scores.len();
+        scores[nan_at % len] = f32::NAN;
+        let tau = selective::calibrate_threshold(&scores, coverage);
+        let kept = scores.iter().filter(|&&s| s >= tau).count();
+        let want = ((len as f64) * coverage).floor() as usize;
+        prop_assert!(kept <= want, "kept {} > want {}", kept, want);
+    }
+
     /// With heavily duplicated scores (the tie-at-the-cut regression),
     /// calibration still never overshoots, excludes the whole tie
     /// group deterministically, and keeps every score strictly above
