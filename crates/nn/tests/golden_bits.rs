@@ -3,8 +3,9 @@
 //! The Table I trunk's three pooled blocks (conv1–3 as `ConvBlock`, at
 //! inference batch 4) and two unpooled `Conv2d`s shaped like the
 //! auto-encoder decoder's, plus one small pooled block with odd spatial
-//! sizes and one pooled and one unpooled layer at a ragged batch of 7,
-//! run `infer`, `forward`, `backward` and `backward_params` on
+//! sizes, one pooled and one unpooled layer at a ragged batch of 7, and
+//! three layers at the seams of the unfolded operand (no padding, a
+//! 45-wide plane, 4-wide output rows) run `infer`, `forward`, `backward` and `backward_params` on
 //! parameters, inputs and gradients drawn from an in-test LCG (with
 //! ±0.0 and tied small values mixed in). Every result is hashed bit for
 //! bit and compared against constants pinned when the test was added.
@@ -183,6 +184,35 @@ fn ragged_batch_keeps_its_bits() {
             "decoder 8→16 at batch 7",
             digest(|| Box::new(conv(8, 16, 5)), [7, 8, 16, 16], 8),
             [0x598d0f5904ba3541, 0x598d0f5904ba3541, 0x763c9cca787bc519, 0x646b3b55dec3fcb2],
+        ),
+    ]);
+}
+
+/// Shapes at the seams of a conv's unfolded operand: no padding, an
+/// output row wider than one 32-column GEMM panel whose width is not a
+/// multiple of 8 (so panels start mid-row), and grid 16's conv3 block,
+/// whose 4-pixel output rows are shorter than one 8-float chunk.
+#[test]
+fn operand_seams_keep_their_bits() {
+    check(&[
+        (
+            "pad 0",
+            digest(
+                || Box::new(Conv2d::new(3, 4, 3, 0, &mut StdRng::seed_from_u64(0))),
+                [3, 3, 10, 10],
+                9,
+            ),
+            [0x75fc7886d8d778ae, 0x75fc7886d8d778ae, 0x686dcf02184d257f, 0xd8cb00b2d6a291c1],
+        ),
+        (
+            "45-wide plane",
+            digest(|| Box::new(conv(3, 4, 5)), [2, 3, 5, 45], 10),
+            [0xdfd3504458918c88, 0xdfd3504458918c88, 0xfc7085dfb9ada1aa, 0x07ff915c563fab57],
+        ),
+        (
+            "grid 16 conv3",
+            digest(|| Box::new(ConvBlock::new(conv(32, 32, 3))), [4, 32, 4, 4], 11),
+            [0x77afb2e69653ba57, 0x77afb2e69653ba57, 0x2afe21c78aed1f46, 0xe4500065e478bdda],
         ),
     ]);
 }
