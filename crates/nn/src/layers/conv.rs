@@ -3,15 +3,18 @@ use std::cell::RefCell;
 use rand::Rng;
 
 use super::pool::{relu_pool2x2, relu_unpool2x2};
-use crate::gemm::{sgemm_nt_with, sgemm_tn_with, sgemm_with, Store};
+use crate::gemm::{sgemm_nt_window, sgemm_tn_with, sgemm_window, Store, Window};
 use crate::pool::{self, Shards, SAMPLE_BLOCK};
 use crate::workspace::Scratch;
 use crate::{init, Layer, Param, Tensor};
 
-/// 2-D convolution (stride 1) via im2col + GEMM.
+/// 2-D convolution (stride 1) as a GEMM over the zero-padded input.
 ///
 /// Input `[N, C_in, H, W]`, output `[N, C_out, H_out, W_out]` with
-/// `H_out = H + 2·pad − k + 1`. The paper's CNN uses "same"-style
+/// `H_out = H + 2·pad − k + 1`. Each sample's padded planes are the
+/// GEMM's `B` operand as they are: its packing reads the unfolded
+/// (im2col) matrix's elements straight from them, so that matrix is
+/// never written out. The paper's CNN uses "same"-style
 /// padding so that only the 2×2 max-pool steps shrink the feature
 /// maps; [`Conv2d::same`] picks `pad = k / 2` for odd kernels.
 ///
@@ -44,11 +47,11 @@ pub struct Conv2d {
 thread_local! {
     /// The workspace of the `&self` inference pass, one per thread: a
     /// layer shared across workers cannot lend out its own. `infer`
-    /// fills only its `input`, `cols` and (pooled) `planes`, sized for
-    /// the largest batch any conv layer served on this thread; serving
+    /// fills only its `input` and (pooled) `planes`, sized for the
+    /// largest batch any conv layer served on this thread; serving
     /// infers blocks of [`SAMPLE_BLOCK`] wafers, so that is 4 padded
-    /// inputs, one im2col buffer and one plane. Pool workers are
-    /// persistent, so after warm-up it never grows again.
+    /// inputs and one plane. Pool workers are persistent, so after
+    /// warm-up it never grows again.
     static INFER_SCRATCH: RefCell<ConvScratch> = RefCell::new(ConvScratch::default());
 }
 
@@ -59,34 +62,32 @@ thread_local! {
 /// only on the shapes, never on which worker runs which samples: the
 /// passes fan out in groups of [`SAMPLE_BLOCK`] samples, and a group's
 /// shards are its own. Nothing in it is ever zeroed: `pad_sample`
-/// writes every saved element (the border included), `im2col` every
-/// column element, the GEMMs every plane and `dcol` element, and
-/// `backward` every partial.
+/// writes every saved element (the border included), the GEMMs every
+/// plane and `dcol` element, and `backward` every partial.
 ///
 /// After a batch of `n` samples, with `G = ⌈n / SAMPLE_BLOCK⌉` groups
 /// and `CKK = C_in·k·k`, it holds these many 4-byte elements:
 ///
-/// - `cols`: `G·CKK·OH·OW`;
 /// - `input`: `n·C_in·(H+2p)·(W+2p)`;
 /// - `planes` (pooled only): `G·C_out·OH·OW`;
 /// - `argmax` (pooled, training only): `n·C_out·⌊OH/2⌋·⌊OW/2⌋`;
 /// - `dw_partials` (training only): `n·C_out·CKK`;
-/// - `db_partials` (training only): `n·C_out`.
+/// - `db_partials` (training only): `n·C_out`;
+/// - `dcol` (after a `backward` that returns the input gradient):
+///   `G·CKK·OH·OW`.
 ///
-/// Only the saved input, the argmax and the partials grow with every
-/// sample; an im2col unfolding, 9× (3×3 kernel) to 25× (5×5) the input
-/// it unfolds, exists once per group.
+/// So `infer` holds one group's padded inputs and, pooled, one plane;
+/// a training `forward` adds the rest of the saved input and the argmax;
+/// `backward_params` (a model's first layer) adds the partials, and
+/// `backward` the partials and `dcol`. No pass holds an im2col
+/// unfolding: the forward and weight-gradient GEMMs read it from
+/// `input` through a [`Window`].
 #[derive(Debug, Default)]
 struct ConvScratch {
-    /// One `[C_in·k·k, OH·OW]` im2col buffer per sample group, reused
-    /// by the group's samples in turn. `forward` unfolds each sample
-    /// into it for the product; `backward` unfolds it again from
-    /// `input`, its dW GEMM reads it, and the sample's `dcol` (the
-    /// input-gradient GEMM's overwrite store) goes over it for col2im.
-    cols: Scratch<f32>,
     /// The last forward's input, `[N, C_in, H+2p, W+2p]`: each sample's
-    /// planes zero-padded, so `im2col` is row copies. Written group by
-    /// group inside the forward's parallel region.
+    /// planes zero-padded, so a GEMM packs the unfolded operand with no
+    /// test for the border. Written group by group inside the forward's
+    /// parallel region.
     input: Scratch<f32>,
     /// Pooled block only: one `[C_out, OH, OW]` plane per sample group,
     /// holding each sample's pre-activation in the forward and its
@@ -101,6 +102,9 @@ struct ConvScratch {
     dw_partials: Scratch<f32>,
     /// Per-sample bias-gradient partials, `[N, C_out]`.
     db_partials: Scratch<f32>,
+    /// One `[C_in·k·k, OH·OW]` input-gradient GEMM output per sample
+    /// group, which col2im folds onto the sample's input gradient.
+    dcol: Scratch<f32>,
 }
 
 /// Split `buf` into one shard per group of [`SAMPLE_BLOCK`] samples of
@@ -205,23 +209,10 @@ impl Conv2d {
         }
     }
 
-    /// Unfold one sample's zero-padded planes `[C_in, H+2p, W+2p]` into
-    /// `col [C_in·k·k, OH·OW]`. Column row `(c, ky, kx)` is the window
-    /// of plane `c` shifted by `(ky, kx)`: `OH` rows of `OW` contiguous
-    /// padded elements, copied with no test for the border.
-    fn im2col(&self, padded: &[f32], h: usize, w: usize, col: &mut [f32]) {
-        let (oh, ow) = self.output_hw(h, w);
-        let (hp, wp) = (h + 2 * self.pad, w + 2 * self.pad);
-        let k = self.kernel;
-        let mut rows = col.chunks_exact_mut(oh * ow);
-        for plane in padded.chunks_exact(hp * wp) {
-            for ky in 0..k {
-                for kx in 0..k {
-                    let dst = rows.next().expect("one column row per channel and tap");
-                    copy_rows(&plane[ky * wp + kx..], wp, dst, ow, oh, ow);
-                }
-            }
-        }
+    /// One sample's zero-padded planes as the unfolded
+    /// `[C_in·k·k, OH·OW]` GEMM operand.
+    fn window<'a>(&self, padded: &'a [f32], h: usize, w: usize) -> Window<'a> {
+        Window::new(padded, self.kernel, [h + 2 * self.pad, w + 2 * self.pad])
     }
 
     /// Fold `col` gradients back onto a `[C_in, H, W]` input gradient.
@@ -271,10 +262,10 @@ impl Conv2d {
 
     /// The one forward kernel of [`Conv2d`] and, when `pooled`, of a
     /// [`ConvBlock`], on workspace `ws`. Per sample: zero-pad it into
-    /// `ws.input`, unfold it into its group's im2col buffer, multiply
-    /// `W [C_out, CKK] · col`, then add the bias or, pooled, run bias,
-    /// ReLU and 2×2 max-pool in one pass over its group's plane,
-    /// recording the window argmax for `backward` when `record_argmax`.
+    /// `ws.input`, multiply `W [C_out, CKK]` by its [`Window`], then add
+    /// the bias or, pooled, run bias, ReLU and 2×2 max-pool in one pass
+    /// over its group's plane, recording the window argmax for
+    /// `backward` when `record_argmax`.
     fn forward_pass(
         &self,
         input: &Tensor,
@@ -285,16 +276,15 @@ impl Conv2d {
         let ([n, c, h, w], (oh, ow)) = self.check_input(input);
         let out_shape = self.out_shape(n, (oh, ow), pooled);
         let out_len: usize = out_shape[1..].iter().product();
-        let (c_out, col_rows, ohw) = (self.out_channels, self.col_rows(), oh * ow);
+        let (c_out, ohw) = (self.out_channels, oh * ow);
         let padded_len = self.padded_len(h, w);
         let n_groups = n.div_ceil(SAMPLE_BLOCK);
         let mut out = Tensor::zeros(&out_shape);
         // One chunk per sample group: saved input planes, output planes,
-        // argmax rows, the im2col buffer and the pre-activation plane
-        // are disjoint per group, so the batch fans out across the
-        // worker pool with no cross-group state.
+        // argmax rows and the pre-activation plane are disjoint per
+        // group, so the batch fans out across the worker pool with no
+        // cross-group state.
         let input_shards = groups(ws.input.reserve(n * padded_len), padded_len);
-        let col_shards = Shards::new(ws.cols.reserve(n_groups * col_rows * ohw), col_rows * ohw);
         let plane_shards =
             pooled.then(|| Shards::new(ws.planes.reserve(n_groups * c_out * ohw), c_out * ohw));
         let argmax_shards =
@@ -303,7 +293,6 @@ impl Conv2d {
         let (input_data, weight, bias) =
             (input.data(), self.weight.value.data(), self.bias.value.data());
         pool::parallel_for(n_groups, |g| {
-            let col = col_shards.claim(g);
             let mut plane = plane_shards.as_ref().map(|p| p.claim(g));
             let mut argmax = argmax_shards.as_ref().map(|a| a.claim(g).chunks_exact_mut(out_len));
             let saved = input_shards.claim(g).chunks_exact_mut(padded_len);
@@ -311,9 +300,8 @@ impl Conv2d {
             for (j, (padded, out_n)) in saved.zip(outs).enumerate() {
                 let i = g * SAMPLE_BLOCK + j;
                 self.pad_sample(&input_data[i * c * h * w..(i + 1) * c * h * w], h, w, padded);
-                self.im2col(padded, h, w, col);
                 let product = plane.as_deref_mut().unwrap_or(&mut *out_n);
-                sgemm_with(Store::Overwrite, c_out, col_rows, ohw, weight, col, product);
+                sgemm_window(Store::Overwrite, c_out, weight, &self.window(padded, h, w), product);
                 match plane.as_deref() {
                     None => {
                         for (chunk, &b) in out_n.chunks_exact_mut(ohw).zip(bias) {
@@ -348,9 +336,9 @@ impl Conv2d {
 
     /// The one backward kernel of [`Conv2d`] and [`ConvBlock`]:
     /// accumulates the weight and bias gradients and, if `input_grad`,
-    /// returns the input gradient (otherwise skips its GEMM, its col2im
-    /// and its tensor). Each sample is unfolded again from the saved
-    /// input into its group's im2col buffer. Its `[C_out, OH·OW]`
+    /// returns the input gradient (otherwise skips its GEMM, its col2im,
+    /// its `dcol` buffers and its tensor). The weight-gradient GEMM reads
+    /// each sample's [`Window`] of the saved input. Its `[C_out, OH·OW]`
     /// output gradient is read from `grad_output` in place, or, for a
     /// pooled block, expanded from the pooled gradient through the
     /// window argmax into its group's plane.
@@ -383,7 +371,8 @@ impl Conv2d {
         let grad = grad_output.data();
         let (saved, argmax) = (&scratch.input, &scratch.argmax);
         let n_groups = n.div_ceil(SAMPLE_BLOCK);
-        let col_shards = Shards::new(&mut scratch.cols[..n_groups * col_size], col_size);
+        let dcol_shards =
+            input_grad.then(|| Shards::new(scratch.dcol.reserve(n_groups * col_size), col_size));
         let plane_shards = pooled.then(|| Shards::new(&mut scratch.planes[..], c_out * oh * ow));
         let dw_shards = groups(dw_vec, w_len);
         let db_shards = groups(db_vec, c_out);
@@ -391,14 +380,14 @@ impl Conv2d {
         let ohw = oh * ow;
         let wt = self.weight.value.data();
         pool::parallel_for(n_groups, |g| {
-            let col = col_shards.claim(g);
+            let mut dcol = dcol_shards.as_ref().map(|d| d.claim(g));
             let mut plane = plane_shards.as_ref().map(|p| p.claim(g));
             let mut gis = gi_shards.as_ref().map(|s| s.claim(g).chunks_exact_mut(c * h * w));
             let partials = dw_shards.claim(g).chunks_exact_mut(w_len);
             let partials = partials.zip(db_shards.claim(g).chunks_exact_mut(c_out));
             for (j, (dw_i, db_i)) in partials.enumerate() {
                 let i = g * SAMPLE_BLOCK + j;
-                self.im2col(&saved[i * padded_len..(i + 1) * padded_len], h, w, col);
+                let window = self.window(&saved[i * padded_len..(i + 1) * padded_len], h, w);
                 let grad_n = &grad[i * grad_len..(i + 1) * grad_len];
                 let dout_n: &[f32] = match plane.as_deref_mut() {
                     None => grad_n,
@@ -409,14 +398,13 @@ impl Conv2d {
                     }
                 };
                 // dW_i [C_out, CKK] = dOut_i [C_out, OH·OW] · col_iᵀ
-                sgemm_nt_with(Store::Overwrite, c_out, ohw, col_rows, dout_n, col, dw_i);
+                sgemm_nt_window(Store::Overwrite, c_out, dout_n, &window, dw_i);
                 // db_i[co] = Σ dOut_i[co, :]
                 channel_sums(dout_n, ohw, db_i);
-                if let Some(gis) = &mut gis {
-                    // dcol [CKK, OH·OW] = Wᵀ · dOut_i, over the
-                    // unfolding the dW GEMM has finished reading.
-                    sgemm_tn_with(Store::Overwrite, col_rows, c_out, ohw, wt, dout_n, col);
-                    self.col2im(col, h, w, gis.next().expect("one input gradient per sample"));
+                if let (Some(dcol), Some(gis)) = (dcol.as_deref_mut(), &mut gis) {
+                    // dcol [CKK, OH·OW] = Wᵀ · dOut_i
+                    sgemm_tn_with(Store::Overwrite, col_rows, c_out, ohw, wt, dout_n, dcol);
+                    self.col2im(dcol, h, w, gis.next().expect("one input gradient per sample"));
                 }
             }
         });
@@ -432,7 +420,8 @@ impl Conv2d {
 /// each one vector move. The loop runs down the rows for each chunk
 /// column: with the two strides unequal, the compiler cannot fold the
 /// copies into one `memcpy` call per row, which costs more than the
-/// copy on im2col's short rows (8–32 floats on the Table I shapes).
+/// copy on the padded input's short rows (8–32 floats on the Table I
+/// shapes).
 fn copy_rows(
     src: &[f32],
     src_stride: usize,
@@ -536,9 +525,9 @@ impl Layer for Conv2d {
 ///
 /// Each sample's pre-activation plane lives only in its sample group's
 /// plane of the convolution's workspace: the fused ReLU and pool read
-/// it while it is still in cache, right after the sample's im2col and
-/// GEMM. What `backward` needs is the convolution's saved (padded) input
-/// plus a `u32` argmax per pooled output, both in that workspace, so no
+/// it while it is still in cache, right after the sample's GEMM. What
+/// `backward` needs is the convolution's saved (padded) input plus a
+/// `u32` argmax per pooled output, both in that workspace, so no
 /// full-size activation, mask or gradient tensor is allocated. The
 /// parameters are the wrapped convolution's, visited in its order.
 ///
@@ -742,10 +731,10 @@ mod tests {
         }
     }
 
-    /// `forward`, then `backward` twice: `backward` unfolds the saved
-    /// input again and leaves it intact (the `dcol` it writes goes over
-    /// the unfolding only), so the second returns the first's input
-    /// gradient bit for bit. Batch 5 leaves a ragged last group.
+    /// `forward`, then `backward` twice: `backward` reads the saved
+    /// input and leaves it intact (the `dcol` it writes is its own
+    /// buffer), so the second returns the first's input gradient bit
+    /// for bit. Batch 5 leaves a ragged last group.
     fn backward_twice(mut layer: impl Layer) {
         let mut rng = StdRng::seed_from_u64(6);
         let x = Tensor::randn(&[5, 2, 6, 6], 1.0, &mut rng);

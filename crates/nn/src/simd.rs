@@ -162,32 +162,41 @@ impl Arm {
         }
     }
 
-    /// Packs the 8×8-aligned block of one strip of a transposed
-    /// (`[n,k]`) `B` operand with `w = cols.len() / k` columns:
-    /// `strip[p·NR + jr] = cols[jr·k + p0 + p]` for every `p < rows =
-    /// kc - kc % 8` and `jr < done = w - w % 8`, moving 8×8 blocks
-    /// through a transpose instead of an element scatter. Returns
-    /// `(rows, done)`; the caller packs the rest. The scalar arm packs
-    /// nothing and returns `(0, 0)`.
+    /// Packs the 8×8 blocks of one strip of a `B` operand whose
+    /// contraction rows run in chunks of 8 (`rows[p + i] = rows[p] + i`
+    /// for `p % 8 == 0`, `i < 8`): `strip[p·NR + jr] = data[rows[p] +
+    /// cols[jr]]` for every `p < rows.len()` and `jr < cols.len()`, both
+    /// multiples of 8, moving 8×8 blocks through a transpose instead of
+    /// an element scatter. Returns `(rows.len(), cols.len())`; the
+    /// caller packs the rest. The scalar arm packs nothing and returns
+    /// `(0, 0)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a length is not a multiple of 8, `cols` is longer than
+    /// `NR`, or a block would read past `data` or write past `strip`.
     #[inline]
     pub(crate) fn pack_strip_transposed(
         self,
         strip: &mut [f32],
-        cols: &[f32],
-        k: usize,
-        p0: usize,
-        kc: usize,
+        data: &[f32],
+        rows: &[usize],
+        cols: &[usize],
     ) -> (usize, usize) {
-        let w = cols.len() / k;
-        let (rows, done) = (kc - kc % 8, w - w % 8);
-        assert!(p0 + kc <= k && w <= NR && strip.len() >= rows * NR);
+        if self == Arm::Scalar || rows.is_empty() || cols.is_empty() {
+            return (0, 0);
+        }
+        let max_row = rows.iter().step_by(8).max().expect("non-empty");
+        let max_col = cols.iter().max().expect("non-empty");
+        assert!(rows.len().is_multiple_of(8) && cols.len().is_multiple_of(8) && cols.len() <= NR);
+        assert!(max_row + max_col + 8 <= data.len() && strip.len() >= rows.len() * NR);
         match self {
             // SAFETY: both vector arms imply AVX2 (see `detect`); the
-            // assert above covers every access.
+            // asserts above cover every access.
             #[cfg(target_arch = "x86_64")]
             Arm::Avx512 | Arm::Avx2 => unsafe {
-                avx2::pack_strip_transposed(strip, cols, k, p0, rows, done);
-                (rows, done)
+                avx2::pack_strip_transposed(strip, data, rows, cols);
+                (rows.len(), cols.len())
             },
             _ => (0, 0),
         }
@@ -225,6 +234,23 @@ impl Arm {
             }
         }
     }
+}
+
+/// Every arm this CPU can run, scalar first.
+#[cfg(test)]
+pub(crate) fn supported_arms() -> Vec<Arm> {
+    let mut arms = vec![Arm::Scalar];
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::is_x86_feature_detected as has;
+        if has!("avx2") && has!("fma") {
+            arms.push(Arm::Avx2);
+            if has!("avx512f") {
+                arms.push(Arm::Avx512);
+            }
+        }
+    }
+    arms
 }
 
 /// Scalar arm of [`Arm::tile`]: the tile as `SR`×`SC` sub-tiles.
@@ -568,30 +594,28 @@ mod avx2 {
 
     /// AVX2 body of [`super::Arm::pack_strip_transposed`]: moves 8×8
     /// blocks through in-register transposes instead of an element
-    /// scatter, for `p < rows` and `jr < cols` (both multiples of 8).
+    /// scatter. Block `(pb, q)` reads the eight 8-float source rows at
+    /// `data[rows[pb] + cols[q + r]..]`, `r < 8`.
     ///
     /// # Safety
     ///
-    /// AVX2 available, `strip.len() >= rows*NR`, `cols <= NR`,
-    /// `src.len() >= cols*k`, `p0 + rows <= k`.
+    /// AVX2 available; `rows.len()` and `cols.len() <= NR` multiples of
+    /// 8; `strip.len() >= rows.len()*NR`; `rows[pb] + cols[jr] + 8 <=
+    /// data.len()` for every `pb % 8 == 0` and `jr`.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn pack_strip_transposed(
         strip: &mut [f32],
-        src: &[f32],
-        k: usize,
-        p0: usize,
-        rows: usize,
-        cols: usize,
+        data: &[f32],
+        rows: &[usize],
+        cols: &[usize],
     ) {
-        for pb in (0..rows).step_by(8) {
-            for q in (0..cols).step_by(8) {
-                // In bounds: the deepest load ends at
-                // (q + 7)*k + p0 + pb + 8 <= cols*k, the deepest store
-                // at (pb + 7)*NR + q + 8 <= rows*NR.
-                let base = src.as_ptr().add(q * k + p0 + pb);
-                let t = transpose8(std::array::from_fn(|r| _mm256_loadu_ps(base.add(r * k))));
-                for (pp, &row) in t.iter().enumerate() {
-                    _mm256_storeu_ps(strip.as_mut_ptr().add((pb + pp) * NR + q), row);
+        for (pb, &row) in rows.iter().enumerate().step_by(8) {
+            let base = data.as_ptr().add(row);
+            for (q, block) in cols.chunks_exact(8).enumerate() {
+                let t = transpose8(std::array::from_fn(|r| _mm256_loadu_ps(base.add(block[r]))));
+                for (pp, &v) in t.iter().enumerate() {
+                    // In bounds: (pb + 7)*NR + 8q + 8 <= rows.len()*NR.
+                    _mm256_storeu_ps(strip.as_mut_ptr().add((pb + pp) * NR + 8 * q), v);
                 }
             }
         }
@@ -643,22 +667,6 @@ mod tests {
                 ((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5
             })
             .collect()
-    }
-
-    /// Every arm this CPU can run, scalar first.
-    fn supported_arms() -> Vec<Arm> {
-        let mut arms = vec![Arm::Scalar];
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::is_x86_feature_detected as has;
-            if has!("avx2") && has!("fma") {
-                arms.push(Arm::Avx2);
-                if has!("avx512f") {
-                    arms.push(Arm::Avx512);
-                }
-            }
-        }
-        arms
     }
 
     /// Each arm's tile, run directly (whatever `arm()` latched), is

@@ -5,8 +5,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// Shapes are dynamic (`Vec<usize>`); all layers in this crate work
 /// with 2-D (`[batch, features]`) or 4-D (`[batch, channels, h, w]`)
-/// tensors. Data is always contiguous, which keeps the im2col/GEMM
-/// kernels simple and fast.
+/// tensors. Data is always contiguous, which keeps the convolution and
+/// GEMM kernels simple and fast.
 ///
 /// # Example
 ///

@@ -9,10 +9,13 @@
 //! since a layer shared across workers cannot lend out its own. A
 //! layer's workspace lives as long as the layer, so every kept model
 //! holds one: the last input (zero-padded), the pool argmax and the
-//! per-sample gradient partials, plus one im2col buffer and, for a
-//! pooled block, one pre-activation plane per group of
-//! [`crate::pool::SAMPLE_BLOCK`] samples. A thread's holds only the
-//! input, im2col and plane terms, for the largest batch it served.
+//! per-sample gradient partials, plus, per group of
+//! [`crate::pool::SAMPLE_BLOCK`] samples, one pre-activation plane (a
+//! pooled block) and one input-gradient column buffer (a layer whose
+//! `backward` returns the input gradient). No buffer holds an unfolded
+//! (im2col) input: the GEMM packs it from the padded input. A thread's
+//! holds only the input and plane terms, for the largest batch it
+//! served.
 //! (The loss scratch and the trainer's staging are reused `Tensor`s
 //! and `Vec`s, outside this accounting.) A [`Scratch`] is sized through
 //! [`Scratch::reserve`], which grows it at most to the largest size

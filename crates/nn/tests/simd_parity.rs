@@ -6,12 +6,17 @@
 //! — exactly the [`nn::gemm::reference`] contract. These tests demand
 //! **bitwise** equality, with SIMD active and with the scalar path
 //! forced, over random shapes (odd tails, `k` 0 and 1) and the exact
-//! Table I shapes the benchmark's `nn.gemm.*` metrics time.
+//! Table I shapes the benchmark's `nn.gemm.*` metrics time, including
+//! the conv layers' products over their padded input, whose `B` operand
+//! is packed straight from the input planes.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use nn::{gemm, simd};
+use nn::layers::Conv2d;
+use nn::{gemm, simd, Layer, Tensor};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// The SIMD dispatch switch is process-global; tests that flip it hold
 /// this lock so cargo's parallel runner cannot interleave them.
@@ -131,6 +136,78 @@ fn paper_shapes_are_bit_identical() {
     check_both_paths(gemm::sgemm_nt, gemm::reference::sgemm_nt, 1, 1024, 200, 105);
     check_both_paths(gemm::sgemm_nt, gemm::reference::sgemm_nt, 1, 256, 9, 106);
     check_both_paths(gemm::sgemm_nt, gemm::reference::sgemm_nt, 2, 256, 1, 107);
+    // Table I conv1–3 at grid 32, forward and weight-gradient forms.
+    for (c_in, c_out, k, hw) in [(1, 64, 5, 32), (64, 32, 3, 16), (32, 32, 3, 8)] {
+        check_conv_window(c_in, c_out, k, hw, 109);
+    }
+}
+
+/// `x [C, H, W]` zero-padded by `pad` and unfolded into the explicit
+/// `[C·k·k, H·W]` matrix of a "same" convolution.
+fn unfold(x: &[f32], c: usize, k: usize, hw: usize) -> Vec<f32> {
+    let pad = k / 2;
+    let mut col = Vec::with_capacity(c * k * k * hw * hw);
+    for ch in 0..c {
+        for ky in 0..k {
+            for kx in 0..k {
+                for y in 0..hw {
+                    for x_ in 0..hw {
+                        let (sy, sx) = ((y + ky).wrapping_sub(pad), (x_ + kx).wrapping_sub(pad));
+                        let inside = sy < hw && sx < hw;
+                        col.push(if inside { x[(ch * hw + sy) * hw + sx] } else { 0.0 });
+                    }
+                }
+            }
+        }
+    }
+    col
+}
+
+/// A one-sample "same" `Conv2d` with zero bias, with SIMD active and
+/// with the scalar path forced: its forward must equal
+/// `reference::sgemm(W, col)` and its weight gradient (`backward_params`
+/// from zeroed gradients) `reference::sgemm_nt(dOut, col)` bit for bit,
+/// `col` being the explicitly unfolded input. Neither product ever
+/// yields `-0.0` from a `+0.0` start, so adding the zero bias and
+/// accumulating onto the zeroed gradient keep every bit.
+fn check_conv_window(c_in: usize, c_out: usize, k: usize, hw: usize, seed: u64) {
+    let _guard = simd_lock();
+    let mut conv = Conv2d::same(c_in, c_out, k, &mut StdRng::seed_from_u64(seed));
+    let (ckk, ohw) = (c_in * k * k, hw * hw);
+    let x = rand_vec(c_in * ohw, seed ^ 1);
+    let dout = rand_vec(c_out * ohw, seed ^ 2);
+    let col = unfold(&x, c_in, k, hw);
+    let mut weight = Vec::new();
+    conv.visit_params(&mut |p| {
+        if weight.is_empty() {
+            weight = p.value.data().to_vec();
+        } else {
+            p.value.fill(0.0);
+        }
+    });
+    let mut expect_y = vec![0.0; c_out * ohw];
+    gemm::reference::sgemm(c_out, ckk, ohw, &weight, &col, &mut expect_y);
+    let mut expect_dw = vec![0.0; c_out * ckk];
+    gemm::reference::sgemm_nt(c_out, ohw, ckk, &dout, &col, &mut expect_dw);
+    let (x, dout) =
+        (Tensor::from_vec(x, &[1, c_in, hw, hw]), Tensor::from_vec(dout, &[1, c_out, hw, hw]));
+    for force_scalar in [false, true] {
+        simd::set_force_scalar(force_scalar);
+        let y = conv.forward(&x);
+        conv.zero_grad();
+        conv.backward_params(&dout);
+        let mut dw = Vec::new();
+        conv.visit_params(&mut |p| {
+            if dw.is_empty() {
+                dw = p.grad.data().to_vec();
+            }
+        });
+        let shape = format!("conv {c_in}→{c_out} k={k} {hw}x{hw}, force_scalar={force_scalar}");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(y.data()), bits(&expect_y), "forward of {shape}");
+        assert_eq!(bits(&dw), bits(&expect_dw), "weight gradient of {shape}");
+    }
+    restore_dispatch();
 }
 
 /// Edge tails of every vector loop: `k` 0 and 1, widths that are not
